@@ -8,8 +8,8 @@ primes as the second half" into a sum of per-block excesses plus two boundary
 corrections M1 (first-half mass of the two partial blocks) and M2
 (second-half mass).
 
-Exactness is the whole point here: every count below is an integer computed
-by binary search over an explicitly fetched prime table, and the identity
+Exactness is the whole point here: every count below is a difference of
+exact prime counts pi(x) read from the cache's rank index, and the identity
 
     first_half_count - second_half_count == (M1 - M2) + sum_j excess(j)
 
@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 CASE_LABELS = ("i", "ii", "iii", "iv")
+_CHUNK_BLOCKS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,21 +158,19 @@ def half_block_excess(cache: PrimeCache, k: int, j: int) -> int:
     return 2 * mid - lo - hi
 
 
-class _LocalCounter:
-    """pi restricted to a fetched prime window, exact for differences.
+def _inner_halves(cache: PrimeCache, k: int, js: range):
+    """First- and second-half prime counts of the consecutive whole blocks js.
 
-    Counts are relative to the window start, so only differences of counts
-    are meaningful; every formula in this module uses differences.
+    Yields one pair of arrays per chunk of at most ``_CHUNK_BLOCKS`` blocks,
+    which bounds the temporaries of each ``pi_many`` call.  Block j's lower
+    edge j*k - 1 is block j-1's upper edge, so n blocks need pi at n + 1
+    edges and n half points.
     """
-
-    def __init__(self, cache: PrimeCache, lo: int, hi: int):
-        self.primes = cache.primes_in(max(2, lo), hi)
-
-    def count(self, x) -> int:
-        return int(np.searchsorted(self.primes, x, side="right"))
-
-    def counts(self, xs: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.primes, xs, side="right")
+    for lo in range(js.start, js.stop, _CHUNK_BLOCKS):
+        j = np.arange(lo, min(lo + _CHUNK_BLOCKS, js.stop) + 1, dtype=np.int64)
+        edges = cache.pi_many(j * k - 1)
+        mids = cache.pi_many((2 * j[:-1] + 1) * k // 2)
+        yield mids - edges[:-1], edges[1:] - mids
 
 
 def boundary_terms(
@@ -186,47 +185,37 @@ def boundary_terms(
     Which pieces appear depends on the case label.  ``convention="literal"``
     closes the second halves at the block right endpoint instead; it is only
     defined for lam < big_lam.
+
+    Each partial block is cut at its half point clamped to the part inside
+    [alpha, beta]: an endpoint in a second half moves the cut to alpha - 1
+    (lead block, cases iii/iv) and one in a first half moves it to beta
+    (final block, cases i/iii).  So pi is only evaluated at points <= beta.
     """
     if convention not in ("resolved", "literal"):
         raise DomainError(f"unknown convention {convention!r}")
     k, alpha, beta = decomp.k, decomp.alpha, decomp.beta
-    lam, big_lam, label = decomp.lam, decomp.big_lam, decomp.case_label
-    ctr = _LocalCounter(cache, alpha, (big_lam + 1) * k)
-    cnt = ctr.count
+    lam, big_lam = decomp.lam, decomp.big_lam
     half_lam = _half_point(k, lam)
-    half_big = _half_point(k, big_lam)
 
     if decomp.single_block:
         if convention == "literal":
             raise DomainError(
                 "literal convention does not define the single-block case"
             )
-        if label == "i":
-            return cnt(beta) - cnt(alpha - 1), 0
-        if label == "ii":
-            return cnt(half_lam) - cnt(alpha - 1), cnt(beta) - cnt(half_lam)
-        return 0, cnt(beta) - cnt(alpha - 1)  # case iv
+        lo, cut, hi = cache.pi_many([alpha - 1, min(max(half_lam, alpha - 1), beta), beta])
+        return int(cut - lo), int(hi - cut)
 
-    # Right endpoint of a second half: open at (j+1)k for "resolved",
-    # closed for "literal".  They agree whenever (j+1)k is composite.
-    def second_upper(j: int) -> int:
-        edge = (j + 1) * k
-        return cnt(edge - 1) if convention == "resolved" else cnt(edge)
-
-    lead_first = cnt(half_lam) - cnt(alpha - 1)
-    lead_second = second_upper(lam) - cnt(half_lam)
-    lead_full = second_upper(lam) - cnt(alpha - 1)
-    final_first_full = cnt(half_big) - cnt(big_lam * k - 1)
-    final_tail = cnt(beta) - cnt(big_lam * k - 1)
-
-    if label == "i":
-        return lead_first + final_tail, lead_second
-    if label == "ii":
-        return lead_first + final_first_full, lead_second + cnt(beta) - cnt(half_big)
-    if label == "iii":
-        return final_tail, lead_full
-    # case iv
-    return final_first_full, lead_full + cnt(beta) - cnt(half_big)
+    # Right endpoint of the lead block's second half: open at (lam+1)k for
+    # "resolved", closed for "literal".  They agree whenever (lam+1)k is
+    # composite.
+    lead_end = (lam + 1) * k - (convention == "resolved")
+    lo, lead_cut, lead_hi, final_lo, final_cut, hi = cache.pi_many([
+        alpha - 1, max(half_lam, alpha - 1), lead_end,
+        big_lam * k - 1, min(_half_point(k, big_lam), beta), beta,
+    ])
+    m1 = (lead_cut - lo) + (final_cut - final_lo)
+    m2 = (lead_hi - lead_cut) + (hi - final_cut)
+    return int(m1), int(m2)
 
 
 def half_counts_formula(
@@ -235,21 +224,13 @@ def half_counts_formula(
     """Per-half prime counts of [alpha, beta] assembled from block pieces.
 
     Returns (first_half_count, second_half_count).  Inner blocks are summed
-    with vectorised binary searches over a single fetched window; boundary
-    blocks come from :func:`boundary_terms`.
+    from a vectorised pi over their edges and half points; boundary blocks
+    come from :func:`boundary_terms`.
     """
-    k = decomp.k
-    m1, m2 = boundary_terms(cache, decomp)
-    a1, a2 = m1, m2
-    js = np.arange(decomp.inner_blocks.start, decomp.inner_blocks.stop,
-                   dtype=np.int64)
-    if js.size:
-        ctr = _LocalCounter(cache, int(js[0]) * k, int(js[-1] + 1) * k)
-        lows = ctr.counts(js * k - 1)
-        mids = ctr.counts((2 * js + 1) * k // 2)
-        highs = ctr.counts((js + 1) * k - 1)
-        a1 += int((mids - lows).sum())
-        a2 += int((highs - mids).sum())
+    a1, a2 = boundary_terms(cache, decomp)
+    for first, second in _inner_halves(cache, decomp.k, decomp.inner_blocks):
+        a1 += int(first.sum())
+        a2 += int(second.sum())
     return a1, a2
 
 
@@ -291,16 +272,16 @@ class BlockCounts:
 
 
 def block_counts(cache: PrimeCache, decomp: IntervalDecomposition) -> BlockCounts:
-    k = decomp.k
     m1, m2 = boundary_terms(cache, decomp)
-    inner_first: dict[int, int] = {}
-    inner_second: dict[int, int] = {}
-    for j in decomp.inner_blocks:
-        inner_first[j] = half_block_count(cache, k, j, 1)
-        inner_second[j] = half_block_count(cache, k, j, 2)
-    total1 = m1 + sum(inner_first.values())
-    total2 = m2 + sum(inner_second.values())
-    return BlockCounts(decomp, m1, m2, inner_first, inner_second, total1, total2)
+    first: list[int] = []
+    second: list[int] = []
+    for f, s in _inner_halves(cache, decomp.k, decomp.inner_blocks):
+        first += f.tolist()
+        second += s.tolist()
+    return BlockCounts(decomp, m1, m2,
+                       dict(zip(decomp.inner_blocks, first)),
+                       dict(zip(decomp.inner_blocks, second)),
+                       m1 + sum(first), m2 + sum(second))
 
 
 def block_rows(cache: PrimeCache, decomp: IntervalDecomposition) -> list[dict]:

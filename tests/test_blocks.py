@@ -141,8 +141,11 @@ def test_direct_hand_example(cache_small):
 
 
 def test_formula_equals_direct_on_named_triples(cache_small):
+    # the last six end in the ceiling's last partial block or at the ceiling
     for k, a, b in ((10, 1, 30), (10, 23, 58), (10, 1, 100), (10, 27, 69),
-                    (5, 1, 25), (2, 1, 1_999), (3, 7, 7)):
+                    (5, 1, 25), (2, 1, 1_999), (3, 7, 7),
+                    (10, 1, 2_000), (10, 2_000, 2_000), (7, 1, 1_999),
+                    (7, 1_996, 2_000), (999, 1_500, 2_000), (3_000, 1, 2_000)):
         d = classify_case(k, a, b)
         assert half_counts_formula(cache_small, d) == \
             half_counts_direct(cache_small, k, a, b), (k, a, b)
@@ -152,9 +155,8 @@ def test_formula_equals_direct_on_named_triples(cache_small):
 @settings(max_examples=150, deadline=None)
 def test_formula_equals_direct_property(k, alpha, width):
     cache = _shared()
-    # The formula fetches a window padded to the next multiple of k, so
-    # keep beta at least one block length under the sieve ceiling.
-    beta = min(alpha + width, cache.limit - 400)
+    # clipping at the ceiling puts beta there or in the last partial block
+    beta = min(alpha + width, cache.limit)
     try:
         d = classify_case(k, alpha, beta)
     except DomainError:
@@ -174,6 +176,16 @@ def _shared():
     return _CACHE
 
 
+def test_formula_stays_inside_the_ceiling():
+    # beta is the ceiling, but its block ends at 1_010: no pi query may go
+    # past beta
+    cache = build_cache(1_000)
+    d = classify_case(10, 1, 1_000)
+    assert half_counts_direct(cache, 10, 1, 1_000) == (84, 84)
+    assert half_counts_formula(cache, d) == (84, 84)
+    assert block_counts(cache, d).first_total == 84
+
+
 def test_excess_hand_example(cache_small):
     # [1, 10] mod 10: A1 = {2,3,5}, A2 = {7}
     d = classify_case(10, 1, 10)
@@ -189,6 +201,18 @@ def test_block_counts_assembly(cache_small):
     assert set(counts.inner_first) == {3, 4}
     rows = block_rows(cache_small, d)
     assert [r["block"] for r in rows] == [3, 4]
+
+
+def test_formula_across_pi_many_chunks(cache_main):
+    # one chunk of exactly 2^16 inner blocks, then several chunks
+    for k, alpha, beta in ((2, 1, 2**17 + 3), (199, 5, 15_000_000),
+                           (2, 10**6 + 1, 10**6 + 2**18)):
+        d = classify_case(k, alpha, beta)
+        want = half_counts_direct(cache_main, k, alpha, beta)
+        assert half_counts_formula(cache_main, d) == want, (k, alpha, beta)
+        counts = block_counts(cache_main, d)
+        assert (counts.first_total, counts.second_total) == want
+        assert list(counts.inner_first) == list(d.inner_blocks)
 
 
 def test_seeded_triples_against_oracle(cache_main):

@@ -1,5 +1,7 @@
 """Prime cache tests against an independent oracle (sympy) and known values."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -93,15 +95,110 @@ def test_nth_prime_pi_roundtrip(n):
     assert sympy.isprime(p)
 
 
-_CACHE = None
+_CACHES: dict[int, PrimeCache] = {}
 
 
-def _shared() -> PrimeCache:
-    # hypothesis cannot take pytest fixtures as arguments; keep one module cache
-    global _CACHE
-    if _CACHE is None:
-        _CACHE = build_cache(10_000)
-    return _CACHE
+def _shared(limit: int = 10_000) -> PrimeCache:
+    # hypothesis cannot take pytest fixtures as arguments; keep module caches
+    if limit not in _CACHES:
+        _CACHES[limit] = build_cache(limit)
+    return _CACHES[limit]
+
+
+# -- the rank/select index -------------------------------------------------
+
+# Bit i of the bitmap is the odd number 2i + 1, so a 64-bit word spans 128
+# integers and a 512-bit index block 1024.  10_239 and 10_240 end exactly on
+# a block edge; 10_000 ends inside a block.
+INDEX_LIMITS = (10_000, 10_239, 10_240)
+
+
+def _edge_points(limit: int) -> np.ndarray:
+    """Every x within 2 of a word edge, plus -1..3 and the ceiling."""
+    edges = np.arange(0, limit + 3, 128)
+    xs = np.concatenate([edges + d for d in range(-2, 3)] + [[-1, 0, 1, 2, 3, limit]])
+    return np.unique(np.clip(xs, -1, limit))
+
+
+def _near_edge(limit: int):
+    return st.one_of(
+        st.integers(-1, limit),
+        st.builds(lambda w, d: min(128 * w + d, limit),
+                  st.integers(0, limit // 128 + 1), st.integers(-2, 2)),
+        st.sampled_from([-1, 0, 1, 2, 3, limit]),
+    )
+
+
+@given(data=st.data(), limit=st.sampled_from(INDEX_LIMITS))
+@settings(max_examples=80, deadline=None)
+def test_pi_many_matches_pi_and_sympy(data, limit):
+    cache = _shared(limit)
+    xs = data.draw(st.lists(_near_edge(limit), max_size=40))
+    got = cache.pi_many(np.array(xs, dtype=np.int64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [cache.pi(x) for x in xs]
+    assert got.tolist() == [int(sympy.primepi(x)) for x in xs]
+
+
+@pytest.mark.parametrize("limit", INDEX_LIMITS)
+def test_pi_many_on_every_word_edge(limit):
+    cache = _shared(limit)
+    xs = _edge_points(limit)
+    want = [int(sympy.primepi(int(x))) for x in xs]
+    assert cache.pi_many(xs).tolist() == want
+    assert cache.pi_many(xs[::-1]).tolist() == want[::-1]
+    assert cache.pi_many(xs.reshape(1, -1)).shape == (1, xs.size)
+    assert cache.pi_many([]).size == 0
+
+
+def test_pi_many_budget(cache_small):
+    with pytest.raises(SieveBudgetError):
+        cache_small.pi_many([5, cache_small.limit + 1])
+
+
+@given(data=st.data(), limit=st.sampled_from(INDEX_LIMITS))
+@settings(max_examples=60, deadline=None)
+def test_nth_prime_pi_roundtrip_at_block_edges(data, limit):
+    cache = _shared(limit)
+    x = data.draw(_near_edge(limit).filter(lambda v: v >= 2))
+    n = cache.pi(x)
+    p = cache.nth_prime(n)  # the largest prime <= x
+    assert p <= x and sympy.isprime(p)
+    assert cache.pi(p) == n and cache.pi(p - 1) == n - 1
+    if n < cache.prime_count():
+        assert cache.nth_prime(n + 1) == sympy.nextprime(x)
+    else:
+        with pytest.raises(SieveBudgetError):
+            cache.nth_prime(n + 1)
+
+
+@pytest.mark.parametrize("limit", INDEX_LIMITS)
+def test_theta_at_block_edges_matches_direct_sum(limit):
+    cache = _shared(limit)
+    primes = np.array(list(sympy.primerange(2, limit + 1)), dtype=np.float64)
+    for x in _edge_points(limit):
+        want = math.fsum(np.log(primes[primes <= x]))
+        assert cache.theta(x) == pytest.approx(want, rel=1e-13, abs=0.0), x
+
+
+def test_theta_across_sieve_segments(cache_main):
+    # segments hold 2^20 odd numbers, i.e. 2^21 integers; theta checkpoints
+    # carry a compensated sum across them
+    primes = cache_main.primes_in(2, cache_main.limit)
+    logs = np.log(primes.astype(np.float64))
+    for s in (1, 2, 7):
+        for x in (s * 2**21 - 1024, s * 2**21 - 1, s * 2**21, s * 2**21 + 1025):
+            want = math.fsum(logs[: np.searchsorted(primes, x, side="right")])
+            assert cache_main.theta(x) == pytest.approx(want, rel=1e-13), x
+
+
+@pytest.mark.parametrize("limit", INDEX_LIMITS)
+def test_rebuilt_cache_has_identical_index(limit):
+    built = _shared(limit)
+    rebuilt = PrimeCache.from_primes(built.primes_in(2, limit), limit=limit)
+    xs = _edge_points(limit)
+    assert np.array_equal(rebuilt.pi_many(xs), built.pi_many(xs))
+    assert [rebuilt.theta(x) for x in xs] == [built.theta(x) for x in xs]
 
 
 def test_profile_values(cache_small):
@@ -130,7 +227,7 @@ def test_save_load_roundtrip(tmp_path, cache_small):
     for x in rng.integers(2, loaded.limit + 1, size=100):
         x = int(x)
         assert loaded.pi(x) == cache_small.pi(x)
-        assert loaded.theta(x) == pytest.approx(cache_small.theta(x), rel=1e-15)
+        assert loaded.theta(x) == cache_small.theta(x)
     assert np.array_equal(loaded.primes_in(1, 1_999), cache_small.primes_in(1, 1_999))
 
 
