@@ -95,7 +95,7 @@ def is_pstar(cache: PrimeCache, params: PStarParams) -> PStarVerdict:
     tally = residue_tally(cache, params.k, params.alpha, params.beta)
     phi = cache.profile(params.k).phi
     inv = invertible_residues(params.k)
-    deficits = tuple(int(r) for r in inv if tally.counts[r] < params.gamma)
+    deficits = tuple(inv[tally.counts[inv] < params.gamma].tolist())
     mismatch = tally.total - (params.gamma * phi + params.iota)
     return PStarVerdict(not deficits and mismatch == 0, tally, deficits, mismatch)
 

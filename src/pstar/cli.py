@@ -10,13 +10,14 @@ the manifest timestamp is provenance only and deliberately excluded from
 that guarantee.
 
 Exit codes are fixed for scripting: 0 success, 2 domain error (bad
-mathematical input, an unreadable cache file, or a threshold search that
-exhausts its range), 64 usage error (unparseable flags), 69 resource error
-(the prime cache cannot cover the request).
+mathematical input, an unreadable, corrupt or version-1 cache file, or a
+threshold search that exhausts its range), 64 usage error (unparseable
+flags), 69 resource error (the prime cache cannot cover the request).
 
 The prime cache is selected with ``--cache PATH`` (or the PSTAR_CACHE
-environment variable) and built on demand up to ``--limit``; a cache file
-that already covers the requested ceiling is reused as-is.
+environment variable) and built on demand up to ``--limit``.  A cache file
+records the ceiling it was built to; one that covers the requested ceiling
+is reused as-is, a smaller one is rebuilt and replaced atomically.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-
-import numpy as np
 
 from . import __version__
 from . import blocks, bounds, classify, coverage
@@ -103,27 +102,6 @@ def _manifest(args, cache_limit: int | None) -> RunManifest:
     )
 
 
-def _gap_has_no_prime(cache: PrimeCache, lo: int, hi: int) -> bool:
-    """True when (lo, hi] provably contains no prime.
-
-    Sieves the gap with the cache's stored primes; answers False when the
-    gap is too wide to certify cheaply or reaches past the cache's root
-    coverage, in which case the caller rebuilds instead.
-    """
-    if hi - lo > 3_000:
-        return False
-    root = math.isqrt(hi)
-    if root > cache.limit:
-        return False
-    alive = np.ones(hi - lo, dtype=bool)  # index i <-> lo + 1 + i
-    for p in cache.primes_in(2, max(2, root)):
-        p = int(p)
-        first = (lo // p + 1) * p
-        if first <= hi:
-            alive[first - lo - 1 :: p] = False
-    return not alive.any()
-
-
 def _resolve_cache(args, min_limit: int = 2) -> PrimeCache:
     limit = max(args.limit if args.limit else DEFAULT_LIMIT, min_limit, 1000)
     path = args.cache or os.environ.get(CACHE_ENV)
@@ -131,12 +109,6 @@ def _resolve_cache(args, min_limit: int = 2) -> PrimeCache:
         cache = load_cache(path)
         if cache.limit >= limit:
             return cache
-        # A cache file stores primes only, so its ceiling reloads as the
-        # largest stored prime.  When the shortfall is a certified
-        # prime-free gap the stored list already covers the request.
-        if _gap_has_no_prime(cache, cache.limit, limit):
-            return PrimeCache.from_primes(
-                cache.primes_in(2, cache.limit), limit=limit)
     cache = build_cache(limit)
     if path:
         cache.save(path)

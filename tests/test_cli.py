@@ -4,10 +4,13 @@ import csv
 import io
 import json
 import os
+import struct
 
 import pytest
 
+from pstar.blocks import half_counts_direct
 from pstar.cli import EX_DOMAIN, EX_OK, EX_RESOURCE, EX_USAGE, main
+from pstar.primes import build_cache
 
 REFERENCE_C0 = 2_953_652_287
 
@@ -242,3 +245,25 @@ def test_output_file_and_cache_env(capsys, tmp_path, monkeypatch):
                          "--limit", "2000")
     assert code == EX_OK
     assert cache_file.stat().st_mtime_ns == built_at
+    # the file keeps its composite build ceiling, so a query at 2000 reuses it
+    code, out, _ = run_cli(capsys, "counts", "--k", "10", "--alpha", "1",
+                           "--beta", "2000", "--limit", "2000")
+    assert code == EX_OK
+    assert cache_file.stat().st_mtime_ns == built_at
+    manifest, (record,) = parse_json_lines(out)
+    assert manifest["cache_limit"] == 2000
+    cache = build_cache(2_000)
+    assert (record["first"], record["second"]) == half_counts_direct(cache, 10, 1, 2_000)
+
+
+def test_version_1_cache_file_is_a_domain_error(capsys, tmp_path):
+    # format 1 stored the prime list as u64 after magic, version and count
+    cache_file = tmp_path / "v1.bin"
+    primes = build_cache(2_000).primes_in(2, 2_000)
+    cache_file.write_bytes(struct.pack("<4sIQ", b"PSTC", 1, primes.size)
+                           + primes.astype("<u8").tobytes())
+    code, out, err = run_cli(capsys, "verify", "--k", "30", "--classical",
+                             "--cache", str(cache_file))
+    assert code == EX_DOMAIN
+    assert out == ""
+    assert "unsupported cache version 1" in err

@@ -1,6 +1,7 @@
 """Prime cache tests against an independent oracle (sympy) and known values."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstar import primes as primes_mod
 from pstar.errors import CacheFormatError, DomainError, SieveBudgetError
 from pstar.primes import PrimeCache, build_cache, load_cache, simple_sieve
 
@@ -193,10 +195,20 @@ def test_theta_across_sieve_segments(cache_main):
 
 
 @pytest.mark.parametrize("limit", INDEX_LIMITS)
-def test_rebuilt_cache_has_identical_index(limit):
+def test_rebuilt_cache_has_identical_index(tmp_path, limit):
     built = _shared(limit)
-    rebuilt = PrimeCache.from_primes(built.primes_in(2, limit), limit=limit)
+    built.save(tmp_path / "cache.bin")
+    loaded = load_cache(tmp_path / "cache.bin")
+    assert loaded.limit == limit
+    for name in ("_packed", "_rank", "_sub", "_theta"):
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
     xs = _edge_points(limit)
+    assert np.array_equal(loaded.pi_many(xs), built.pi_many(xs))
+    assert [loaded.theta(x) for x in xs] == [built.theta(x) for x in xs]
+    # a prime list rebuilds the same index up to its largest prime
+    rebuilt = PrimeCache.from_primes(built.primes_in(2, limit))
+    assert rebuilt.limit == built.nth_prime(built.prime_count())
+    xs = xs[xs <= rebuilt.limit]
     assert np.array_equal(rebuilt.pi_many(xs), built.pi_many(xs))
     assert [rebuilt.theta(x) for x in xs] == [built.theta(x) for x in xs]
 
@@ -221,31 +233,65 @@ def test_save_load_roundtrip(tmp_path, cache_small):
     path = tmp_path / "cache.bin"
     cache_small.save(path)
     loaded = load_cache(path)
-    # the file stores primes only, so the ceiling reloads as the last prime
-    assert loaded.limit == 1_999
-    rng = np.random.default_rng(5)
-    for x in rng.integers(2, loaded.limit + 1, size=100):
-        x = int(x)
+    assert loaded.limit == 2_000  # the build ceiling, though 2_000 is composite
+    for x in range(-1, 2_001):
         assert loaded.pi(x) == cache_small.pi(x)
         assert loaded.theta(x) == cache_small.theta(x)
-    assert np.array_equal(loaded.primes_in(1, 1_999), cache_small.primes_in(1, 1_999))
+    assert np.array_equal(loaded.primes_in(1, 2_000), cache_small.primes_in(1, 2_000))
 
 
-def test_from_primes_explicit_ceiling(cache_small):
-    primes = cache_small.primes_in(2, 1_999)
-    extended = PrimeCache.from_primes(primes, limit=2_000)
-    assert extended.limit == 2_000
-    assert extended.pi(2_000) == cache_small.pi(2_000)
-    with pytest.raises(CacheFormatError):
-        PrimeCache.from_primes(primes, limit=1_998)
+def test_save_replaces_file_atomically(tmp_path, monkeypatch, cache_small):
+    path = tmp_path / "cache.bin"
+    _shared(10_000).save(path)
+    cache_small.save(path)  # over an existing file
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
+    assert load_cache(path).limit == 2_000
+
+    real_open = open
+
+    class TornWriter:
+        """Writes half of the first buffer, then fails like a full disk."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(bytes(data)[: len(data) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(primes_mod, "open", TornWriter, raising=False)
+    with pytest.raises(OSError):
+        _shared(10_000).save(path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
+    assert load_cache(path).limit == 2_000
 
 
-def test_load_rejects_foreign_file(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"not a sieve cache at all, just filler bytes")
-    with pytest.raises(CacheFormatError):
-        load_cache(path)
-    short = tmp_path / "short.bin"
-    short.write_bytes(b"\x01\x02")
-    with pytest.raises(CacheFormatError):
-        load_cache(short)
+def test_load_rejects_foreign_file(tmp_path, cache_small):
+    good = tmp_path / "good.bin"
+    cache_small.save(good)
+    data = good.read_bytes()
+    header = primes_mod._HEADER.size
+    flipped = bytearray(data)
+    flipped[header + 100] ^= 0x10
+    primes = cache_small.primes_in(2, 2_000)
+    v1 = struct.pack("<4sIQ", b"PSTC", 1, primes.size) + primes.astype("<u8").tobytes()
+    cases = {
+        "junk": (b"not a sieve cache at all, just filler bytes", "bad magic"),
+        "short": (b"\x01\x02", "truncated cache header"),
+        "flipped": (bytes(flipped), "checksum"),
+        "truncated": (data[:-1], "-byte bitmap, file holds"),
+        "padded": (data + b"\0", "-byte bitmap, file holds"),
+        "v1": (v1, "unsupported cache version 1"),
+    }
+    for name, (content, message) in cases.items():
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(content)
+        with pytest.raises(CacheFormatError, match=message):
+            load_cache(path)
