@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import expi
 
 from .errors import DomainError
@@ -86,6 +85,8 @@ def li_quadrature(x: float, epsrel: float = 1e-12) -> float:
     """li by adaptive quadrature of e^u/u over u = log t; cross-check path."""
     if x < 2.0:
         raise DomainError("li is defined here for x >= 2")
+    from scipy.integrate import quad  # cross-check only; keeps it out of start-up
+
     val, _ = quad(lambda u: math.exp(u) / u, math.log(2.0), math.log(x),
                   epsabs=0.0, epsrel=epsrel, limit=200)
     return val

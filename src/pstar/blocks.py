@@ -144,18 +144,15 @@ def half_block_count(cache: PrimeCache, k: int, j: int, half: int) -> int:
         raise DomainError(f"half must be 1 or 2, got {half}")
     if j < 0:
         raise DomainError(f"block index must be >= 0, got {j}")
-    mid = cache.pi(_half_point(k, j))
-    if half == 1:
-        return mid - cache.pi(j * k - 1)
-    return cache.pi((j + 1) * k - 1) - mid
+    mid = _half_point(k, j)
+    lo, hi = cache.pi_many([j * k - 1, mid] if half == 1 else [mid, (j + 1) * k - 1])
+    return int(hi - lo)
 
 
 def half_block_excess(cache: PrimeCache, k: int, j: int) -> int:
     """First-half minus second-half prime count of block j."""
-    lo = cache.pi(j * k - 1)
-    mid = cache.pi(_half_point(k, j))
-    hi = cache.pi((j + 1) * k - 1)
-    return 2 * mid - lo - hi
+    lo, mid, hi = cache.pi_many([j * k - 1, _half_point(k, j), (j + 1) * k - 1])
+    return int(2 * mid - lo - hi)
 
 
 def _inner_halves(cache: PrimeCache, k: int, js: range):

@@ -621,7 +621,8 @@ def pi_second_difference(cache: PrimeCache, k: int, lam: int, delta: int):
         raise DomainError(f"block start {x} below envelope domain")
     if delta < 0 or delta > x:
         raise DomainError(f"need 0 <= delta <= {x}, got {delta}")
-    e = cache.pi(x + delta) - 2 * cache.pi(x) + cache.pi(x - delta)
+    lo, mid, hi = cache.pi_many([x - delta, x, x + delta])
+    e = int(hi - 2 * mid + lo)
     return e, abs(e) / (x * float(epsilon(float(x))))
 
 

@@ -8,6 +8,10 @@ the only constraint on them.  The classical P-integer notion (the first
 phi(k) primes not dividing k form a complete reduced residue system) is
 the special case alpha=2, beta=p_{phi+omega}, gamma=1, iota=omega(k).
 
+The classical and block forms read one window, the first phi(k) + omega(k)
+primes (``first_primes``, bounded by ``nth_prime``), and look for the first
+repeated residue in it.  phi and omega come from ``arithmetic_profile``.
+
 Conventions: the modulus must be >= 2 (mod-1 classes are degenerate),
 and iota = 0 is accepted even though the definition reads iota > 0,
 since degenerate instances are useful in tests.
@@ -21,6 +25,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .blocks import half_counts_direct
 from .errors import DomainError, SieveBudgetError
 from .primes import PrimeCache
 
@@ -100,43 +105,39 @@ def is_pstar(cache: PrimeCache, params: PStarParams) -> PStarVerdict:
     return PStarVerdict(not deficits and mismatch == 0, tally, deficits, mismatch)
 
 
-def prime_stream(cache: PrimeCache, k: int):
-    """All primes in ascending order; fetch chunks sized for modulus k."""
-    lo = 2
-    hi = min(cache.limit, max(1024, 8 * k))
-    while True:
-        for p in cache.primes_in(lo, hi).tolist():
-            yield p
-        if hi >= cache.limit:
-            raise SieveBudgetError(
-                f"modulus k={k} needs primes beyond the ceiling {cache.limit}")
-        lo, hi = hi + 1, min(cache.limit, hi * 4)
+def first_primes(cache: PrimeCache, n: int) -> np.ndarray:
+    """The first n primes, or all the cache holds if that is fewer."""
+    return cache.primes_in(2, cache.nth_prime(min(n, cache.prime_count())))
+
+
+def _first_repeat(residues: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one; the length if none."""
+    order = np.argsort(residues, kind="stable")
+    repeats = order[1:][np.diff(residues[order]) == 0]
+    return int(repeats.min()) if repeats.size else residues.size
 
 
 def is_classical_p_integer(cache: PrimeCache, k: int) -> ClassicalCheck:
     """First phi(k) primes not dividing k hit each reduced class exactly once.
 
-    The witness maps residue -> prime for the classes placed before the
-    verdict was reached (complete exactly when the verdict is positive).
+    The witness maps residue -> prime, in prime order, for the classes
+    placed before the first repeat (complete exactly when the verdict is
+    positive).  A repeat among the primes the cache holds decides the
+    verdict even when phi(k) of them are not available.
     """
     if k < 2:
         raise DomainError(f"modulus must be >= 2, got k={k}")
-    phi = cache.profile(k).phi
-    seen = bytearray(k)
-    witness: dict[int, int] = {}
-    placed = 0
-    for p in prime_stream(cache, k):
-        if k % p == 0:
-            continue
-        r = p % k
-        if seen[r]:
-            return ClassicalCheck(False, witness)
-        seen[r] = 1
-        witness[r] = p
-        placed += 1
-        if placed == phi:
-            return ClassicalCheck(True, witness)
-    raise AssertionError("unreachable")
+    prof = cache.profile(k)
+    # A prime divisor q of k has pi(q) < q <= phi(k) + 1, so a complete
+    # window holds every divisor and exactly phi(k) coprime primes.
+    ps = first_primes(cache, prof.phi + prof.omega)
+    ps = ps[k % ps != 0]
+    r = ps % k
+    i = _first_repeat(r)
+    if i == r.size < prof.phi:
+        raise SieveBudgetError(
+            f"modulus k={k} needs primes beyond the ceiling {cache.limit}")
+    return ClassicalCheck(i == prof.phi, dict(zip(r[:i].tolist(), ps[:i].tolist())))
 
 
 def is_block_p_integer(cache: PrimeCache, k: int) -> bool:
@@ -149,26 +150,15 @@ def is_block_p_integer(cache: PrimeCache, k: int) -> bool:
     """
     prof = cache.profile(k)
     n = prof.phi + prof.omega
-    seen_inv = bytearray(k)
-    seen_div = bytearray(k)
-    inv_hits = div_hits = 0
-    taken = 0
-    for p in prime_stream(cache, k):
-        if taken == n:
-            break
-        taken += 1
-        r = p % k
-        if k % p == 0:
-            if seen_div[r]:
-                return False
-            seen_div[r] = 1
-            div_hits += 1
-        else:
-            if seen_inv[r]:
-                return False
-            seen_inv[r] = 1
-            inv_hits += 1
-    return inv_hits == prof.phi and div_hits == prof.omega
+    ps = first_primes(cache, n)
+    # Divisors of k land in non-invertible classes and the other primes in
+    # invertible ones, so one repeat test covers both kinds of class.
+    if _first_repeat(ps % k) < ps.size:
+        return False
+    if ps.size < n:
+        raise SieveBudgetError(
+            f"modulus k={k} needs primes beyond the ceiling {cache.limit}")
+    return int(np.count_nonzero(k % ps)) == prof.phi
 
 
 def compare_classical_forms(cache: PrimeCache, k: int) -> tuple[bool, bool]:
@@ -180,10 +170,7 @@ def balance_condition(cache: PrimeCache, k: int, alpha: int, beta: int,
                       iota: int) -> BalanceCheck:
     """Necessary condition: the lower-half residue count a1 (residues r with
     2r <= k) and upper-half count a2 differ by at most iota."""
-    tally = residue_tally(cache, k, alpha, beta)
-    r = np.arange(k)
-    a1 = int(tally.counts[2 * r <= k].sum())
-    a2 = tally.total - a1
+    a1, a2 = half_counts_direct(cache, k, alpha, beta)
     return BalanceCheck(abs(a1 - a2) <= iota, a1, a2)
 
 

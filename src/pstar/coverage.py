@@ -13,7 +13,8 @@ depend on execution order or worker count; the generator algorithm is
 recorded in every result for reproducibility.
 
 The "real-primes" mode replays the same coverage question against the
-actual first n primes coprime to k instead of synthetic draws.  Primes are
+actual first n primes coprime to k instead of synthetic draws, read as one
+window of the first n + omega(k) primes (``classify.first_primes``).  Primes are
 not independent uniform draws, so no agreement with the prediction is
 asserted anywhere; the mode exists to expose the gap.
 """
@@ -25,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .primes import PrimeCache
-from .classify import prime_stream
+from .classify import first_primes
+from .errors import DomainError, SieveBudgetError
+from .primes import PrimeCache, arithmetic_profile
 
 __all__ = [
     "SimConfig",
@@ -42,19 +43,6 @@ __all__ = [
 GENERATOR_ID = "numpy-PCG64"
 
 MODES = ("synthetic", "real-primes")
-
-
-def _totient(k: int) -> int:
-    phi, rem, p = k, k, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            phi -= phi // p
-            while rem % p == 0:
-                rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        phi -= phi // rem
-    return phi
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,7 @@ def draw_count(k: int, coverage_exponent: float) -> int:
     """Number of draws the heuristic allots: round(C * phi(k) * log k)."""
     if k < 3:
         raise DomainError(f"modulus must be >= 3, got {k}")
-    return round(coverage_exponent * _totient(k) * math.log(k))
+    return round(coverage_exponent * arithmetic_profile(k).phi * math.log(k))
 
 
 def predicted_failure(k: int, coverage_exponent: float) -> float:
@@ -116,7 +104,7 @@ def predicted_failure(k: int, coverage_exponent: float) -> float:
         raise DomainError(f"modulus must be >= 3, got {k}")
     if coverage_exponent <= 0:
         raise DomainError("coverage exponent must be positive")
-    return min(1.0, _totient(k) * k ** -coverage_exponent)
+    return min(1.0, arithmetic_profile(k).phi * k ** -coverage_exponent)
 
 
 def exact_failure_probability(phi: int, draws: int) -> float:
@@ -140,7 +128,7 @@ def beta_estimate(k: int) -> float:
     """Interval length the heuristic needs: phi log k * log(phi log k)."""
     if k < 3:
         raise DomainError(f"modulus must be >= 3, got {k}")
-    budget = _totient(k) * math.log(k)
+    budget = arithmetic_profile(k).phi * math.log(k)
     return budget * math.log(budget)
 
 
@@ -154,12 +142,12 @@ def simulate_coverage(
     supply them).  Returns the failure fraction with its binomial standard
     error and the first-order prediction.
     """
-    phi = _totient(cfg.k)
+    phi = arithmetic_profile(cfg.k).phi
     draws = round(cfg.coverage_exponent * phi * math.log(cfg.k))
     predicted = predicted_failure(cfg.k, cfg.coverage_exponent)
 
     if cfg.mode == "real-primes":
-        empirical = 1.0 if _real_primes_fail(cfg.k, phi, draws, cache) else 0.0
+        empirical = 1.0 if _real_primes_fail(cfg.k, draws, cache) else 0.0
         return SimResult(cfg, phi, draws, empirical, 0.0, predicted)
 
     failures = 0
@@ -176,22 +164,13 @@ def simulate_coverage(
     return SimResult(cfg, phi, draws, empirical, stderr, predicted)
 
 
-def _real_primes_fail(
-    k: int, phi: int, draws: int, cache: PrimeCache | None
-) -> bool:
+def _real_primes_fail(k: int, draws: int, cache: PrimeCache | None) -> bool:
     if cache is None:
         raise DomainError("real-primes mode needs a prime cache")
-    seen = bytearray(k)
-    covered = 0
-    remaining = draws
-    for p in prime_stream(cache, k):
-        if remaining <= 0:
-            break
-        if k % p == 0:
-            continue
-        remaining -= 1
-        r = p % k
-        if not seen[r]:
-            seen[r] = 1
-            covered += 1
-    return covered < phi
+    prof = arithmetic_profile(k)
+    ps = first_primes(cache, draws + prof.omega)
+    ps = ps[k % ps != 0][:draws]
+    if ps.size < draws:
+        raise SieveBudgetError(
+            f"modulus k={k} needs primes beyond the ceiling {cache.limit}")
+    return np.unique(ps % k).size < prof.phi

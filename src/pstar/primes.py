@@ -343,32 +343,28 @@ class PrimeCache:
         return 1 + int(self._rank[-1])
 
     def profile(self, k: int) -> ArithmeticProfile:
-        """Totient and distinct prime divisors of k by trial division.
+        """The :func:`arithmetic_profile` of k; the cache is not read."""
+        return arithmetic_profile(k)
 
-        Valid for any k whose square root is within the ceiling, i.e. all
-        k <= limit**2.
-        """
-        if k < 1:
-            raise DomainError(f"profile needs k >= 1, got {k}")
-        root = math.isqrt(k)
-        if root > self.limit:
-            raise SieveBudgetError(
-                f"factoring {k} needs primes to {root}, ceiling is {self.limit}")
-        divisors = []
-        phi = k
-        rem = k
-        for p in map(int, self.primes_in(2, root)):
-            if p * p > rem:
-                break
-            if rem % p == 0:
-                divisors.append(p)
-                phi = phi // p * (p - 1)
-                while rem % p == 0:
-                    rem //= p
-        if rem > 1:
-            divisors.append(rem)
-            phi = phi // rem * (rem - 1)
-        return ArithmeticProfile(k, phi, len(divisors), tuple(divisors))
+
+def arithmetic_profile(k: int) -> ArithmeticProfile:
+    """Totient and distinct prime divisors of k >= 1 by trial division."""
+    if k < 1:
+        raise DomainError(f"profile needs k >= 1, got {k}")
+    divisors = []
+    phi = rem = k
+    d = 2
+    while d * d <= rem:
+        if rem % d == 0:
+            divisors.append(d)
+            phi -= phi // d
+            while rem % d == 0:
+                rem //= d
+        d += 1 if d == 2 else 2
+    if rem > 1:
+        divisors.append(rem)
+        phi -= phi // rem
+    return ArithmeticProfile(k, phi, len(divisors), tuple(divisors))
 
 
 def build_cache(limit: int) -> PrimeCache:

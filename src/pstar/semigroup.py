@@ -30,7 +30,6 @@ import math
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .analytic import li
 from .errors import DomainError
@@ -178,6 +177,8 @@ def li_difference_integral(big_k: float, delta: float, epsrel: float = 1e-10):
     hi = big_k ** delta
     if hi <= lo:
         raise DomainError(f"K^delta must exceed {lo}, got {hi}")
+    from scipy.integrate import quad  # cross-check only; keeps it out of start-up
+
     value, err = quad(
         _li_difference_integrand, lo, hi, args=(delta,), epsabs=0.0,
         epsrel=epsrel, limit=200,

@@ -74,6 +74,10 @@ def test_half_block_hand_values(cache_small):
     assert half_block_count(cache_small, 10, 1, 2) == 2  # 17, 19
     assert half_block_count(cache_small, 10, 0, 1) == 3  # 2, 3, 5
     assert half_block_excess(cache_small, 10, 1) == 0
+    # a prime block start lies in the first half: [7, 10.5] holds 7 only
+    assert half_block_count(cache_small, 7, 1, 1) == 1
+    assert half_block_count(cache_small, 7, 1, 2) == 2  # 11, 13
+    assert half_block_excess(cache_small, 7, 1) == -1
 
 
 def test_half_block_rejects_bad_args(cache_small):

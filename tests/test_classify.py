@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pstar.classify import (
     BalanceCheck,
+    ClassicalCheck,
     PStarParams,
     balance_condition,
     classical_census,
@@ -17,7 +18,6 @@ from pstar.classify import (
     is_block_p_integer,
     is_classical_p_integer,
     is_pstar,
-    prime_stream,
     residue_tally,
     search,
     totient_table,
@@ -149,16 +149,79 @@ def test_forms_agree_on_small_moduli(cache_small):
         assert classical == block, k
 
 
-def test_prime_stream_yields_all_primes(cache_small):
-    stream = prime_stream(cache_small, 9)
-    first = [next(stream) for _ in range(10)]
-    assert first == list(sympy.primerange(2, 30))
-
-
 def test_budget_error_carries_context(cache_small):
     # k = 1999 is prime, phi = 1998; the walk needs primes past the ceiling
     with pytest.raises(SieveBudgetError, match="1999"):
         is_classical_p_integer(cache_small, 1999)
+
+
+def test_repeat_decides_before_the_ceiling(cache_small):
+    # phi(1900) = 720 exceeds the 303 primes held, but a repeat among them
+    # settles the verdict without a budget error
+    assert cache_small.profile(1900).phi == 720 > cache_small.prime_count() == 303
+    assert is_classical_p_integer(cache_small, 1900).is_p_integer is False
+
+
+# -- reference oracles: scalar walks over an ascending prime stream --------
+
+def _stream(cache, k):
+    """All primes in ascending order, then a budget error."""
+    lo, hi = 2, min(cache.limit, max(1024, 8 * k))
+    while True:
+        yield from cache.primes_in(lo, hi).tolist()
+        if hi >= cache.limit:
+            raise SieveBudgetError(f"k={k}, ceiling {cache.limit}")
+        lo, hi = hi + 1, min(cache.limit, hi * 4)
+
+
+def _classical_walk(cache, k):
+    phi = int(sympy.totient(k))
+    witness = {}
+    for p in _stream(cache, k):
+        if k % p == 0:
+            continue
+        r = p % k
+        if r in witness:
+            return ClassicalCheck(False, witness)
+        witness[r] = p
+        if len(witness) == phi:
+            return ClassicalCheck(True, witness)
+
+
+def _block_walk(cache, k):
+    phi, omega = int(sympy.totient(k)), len(sympy.primefactors(k))
+    seen_inv, seen_div = set(), set()
+    for taken, p in enumerate(_stream(cache, k)):
+        if taken == phi + omega:
+            break
+        seen = seen_div if k % p == 0 else seen_inv
+        if p % k in seen:
+            return False
+        seen.add(p % k)
+    return len(seen_inv) == phi and len(seen_div) == omega
+
+
+def _outcome(check, cache, k):
+    try:
+        result = check(cache, k)
+    except SieveBudgetError:
+        return "budget"
+    if isinstance(result, ClassicalCheck):
+        return result.is_p_integer, list(result.witness.items())
+    return result
+
+
+@pytest.mark.parametrize("fixture, k_values", [
+    ("cache_small", range(2, 3000)),
+    ("cache_main", range(2, 3001)),
+])
+def test_window_checks_match_the_scalar_walks(fixture, k_values, request):
+    cache = request.getfixturevalue(fixture)
+    for k in k_values:
+        assert _outcome(is_classical_p_integer, cache, k) == \
+            _outcome(_classical_walk, cache, k), k
+        assert _outcome(is_block_p_integer, cache, k) == \
+            _outcome(_block_walk, cache, k), k
 
 
 # -- balance condition -----------------------------------------------------

@@ -5,6 +5,9 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,14 @@ def parse_json_lines(out):
     results = [line for line in lines[1:] if line["record"] == "result"]
     assert len(results) == len(lines) - 1
     return lines[0], results
+
+
+def test_import_leaves_out_scipy_integrate():
+    # quad serves only the cross-check paths, so start-up must not load it
+    code = "import pstar.cli, sys; assert 'scipy.integrate' not in sys.modules"
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
 
 
 # -- verify -------------------------------------------------------------------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,6 +94,20 @@ def test_real_primes_mode_is_deterministic(cache_main):
     assert res.empirical in (0.0, 1.0)  # one deterministic outcome repeated
     assert res.empirical == 0.0  # the first 13944 coprime primes cover mod 1009
     assert res.stderr == 0.0
+
+
+def _real_primes_walk(cache, k, draws):
+    """Scalar reference: do the first `draws` primes coprime to k miss a class?"""
+    coprime = (p for p in map(int, cache.primes_in(2, cache.limit)) if k % p)
+    residues = {next(coprime) % k for _ in range(draws)}
+    return len(residues) < int(sympy.totient(k))
+
+
+@pytest.mark.parametrize("k, c", [(1_009, 2.0), (1_009, 0.5), (97, 1.0), (30, 3.0)])
+def test_real_primes_mode_matches_scalar_walk(cache_main, k, c):
+    res = simulate_coverage(SimConfig(k=k, coverage_exponent=c, trials=1, seed=0,
+                                      mode="real-primes"), cache_main)
+    assert res.empirical == float(_real_primes_walk(cache_main, k, res.draws))
 
 
 def test_real_primes_mode_needs_cache():

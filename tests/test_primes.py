@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from pstar import primes as primes_mod
 from pstar.errors import CacheFormatError, DomainError, SieveBudgetError
-from pstar.primes import PrimeCache, build_cache, load_cache, simple_sieve
+from pstar.classify import totient_table
+from pstar.primes import (PrimeCache, arithmetic_profile, build_cache, load_cache,
+                          simple_sieve)
 
 # Classical table values, e.g. Sloane A006880 / A006988.
 PI_TABLE = {
@@ -220,6 +222,19 @@ def test_profile_values(cache_small):
     assert prof.prime_divisors == (2, 3, 5)
     assert cache_small.profile(7).phi == 6
     assert cache_small.profile(2).phi == 1
+    # no longer limited to k <= limit**2: the cache is not read
+    assert cache_small.profile(2_003**2).prime_divisors == (2_003,)
+
+
+def test_arithmetic_profile_matches_sympy():
+    table = totient_table(3_000)
+    for k in range(1, 3_001):
+        prof = arithmetic_profile(k)
+        assert prof.phi == sympy.totient(k) == table[k], k
+        assert list(prof.prime_divisors) == sympy.primefactors(k), k
+        assert prof.omega == len(prof.prime_divisors)
+    with pytest.raises(DomainError):
+        arithmetic_profile(0)
 
 
 def test_budget_errors(cache_small):
