@@ -142,12 +142,10 @@ def phi_lower_bound(k):
     return val[()] if val.ndim == 0 else val
 
 
-def pi_via_theta_identity(cache, x: float, quadrature_step: float | None = None) -> float:
+def pi_via_theta_identity(cache, x: float) -> float:
     """Evaluate pi(x) from theta via the partial-summation identity.
 
-    Default mode sums the integral exactly over the prime breakpoints.
-    Passing quadrature_step switches to a midpoint rule with that step,
-    which is only approximate and exists for cross-checking.
+    The integral is summed exactly over the prime breakpoints.
     """
     if x < 2.0:
         raise DomainError("identity needs x >= 2")
@@ -156,18 +154,9 @@ def pi_via_theta_identity(cache, x: float, quadrature_step: float | None = None)
     logs = np.log(primes)
     cum_theta = np.cumsum(logs)
     theta_x = float(cum_theta[-1])
-    if quadrature_step is None:
-        inv = 1.0 / logs
-        right = np.empty_like(inv)
-        right[:-1] = inv[1:]
-        right[-1] = 1.0 / math.log(x) if x > primes[-1] else inv[-1]
-        integral = float(np.sum(cum_theta * (inv - right)))
-    else:
-        if quadrature_step <= 0:
-            raise DomainError("quadrature_step must be positive")
-        edges = np.append(np.arange(2.0, x, quadrature_step), x)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        widths = np.diff(edges)
-        integral = float(sum(cache.theta(t) / (t * math.log(t) ** 2) * w
-                             for t, w in zip(mids, widths)))
+    inv = 1.0 / logs
+    right = np.empty_like(inv)
+    right[:-1] = inv[1:]
+    right[-1] = 1.0 / math.log(x) if x > primes[-1] else inv[-1]
+    integral = float(np.sum(cum_theta * (inv - right)))
     return theta_x / math.log(x) + integral

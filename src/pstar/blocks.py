@@ -37,11 +37,10 @@ lead block  in cases (i)/(ii) the second-half boundary term starts at
 final block in case (i) the first-half tail is pi(beta) - pi(Lam*k - 1).
 ==========  =======================================================
 
-An alternative "literal" convention (closed second halves, closed block
-right endpoints) is kept for comparison via ``boundary_terms(...,
-convention="literal")``; it differs only when a block endpoint is prime,
-which for j >= 1 never happens, and it does not define the degenerate
-single-block case.
+The boundary terms close the lead block's second half at (lam+1)k - 1.  A
+"literal" reading that closes it at (lam+1)k differs only when that edge is
+prime, which for lam >= 1 never happens; the test suite keeps it as a
+comparison oracle.
 """
 
 from __future__ import annotations
@@ -171,43 +170,29 @@ def _inner_halves(cache: PrimeCache, k: int, js: range):
 
 
 def boundary_terms(
-    cache: PrimeCache,
-    decomp: IntervalDecomposition,
-    convention: str = "resolved",
+    cache: PrimeCache, decomp: IntervalDecomposition
 ) -> tuple[int, int]:
     """Boundary corrections (M1, M2) for the partial blocks at alpha and beta.
 
     M1 collects first-half primes of the lead block (from alpha) and the
     final block (to beta); M2 the second-half primes of the same two blocks.
-    Which pieces appear depends on the case label.  ``convention="literal"``
-    closes the second halves at the block right endpoint instead; it is only
-    defined for lam < big_lam.
+    Which pieces appear depends on the case label.
 
     Each partial block is cut at its half point clamped to the part inside
     [alpha, beta]: an endpoint in a second half moves the cut to alpha - 1
     (lead block, cases iii/iv) and one in a first half moves it to beta
     (final block, cases i/iii).  So pi is only evaluated at points <= beta.
     """
-    if convention not in ("resolved", "literal"):
-        raise DomainError(f"unknown convention {convention!r}")
     k, alpha, beta = decomp.k, decomp.alpha, decomp.beta
     lam, big_lam = decomp.lam, decomp.big_lam
     half_lam = _half_point(k, lam)
 
     if decomp.single_block:
-        if convention == "literal":
-            raise DomainError(
-                "literal convention does not define the single-block case"
-            )
         lo, cut, hi = cache.pi_many([alpha - 1, min(max(half_lam, alpha - 1), beta), beta])
         return int(cut - lo), int(hi - cut)
 
-    # Right endpoint of the lead block's second half: open at (lam+1)k for
-    # "resolved", closed for "literal".  They agree whenever (lam+1)k is
-    # composite.
-    lead_end = (lam + 1) * k - (convention == "resolved")
     lo, lead_cut, lead_hi, final_lo, final_cut, hi = cache.pi_many([
-        alpha - 1, max(half_lam, alpha - 1), lead_end,
+        alpha - 1, max(half_lam, alpha - 1), (lam + 1) * k - 1,
         big_lam * k - 1, min(_half_point(k, big_lam), beta), beta,
     ])
     m1 = (lead_cut - lo) + (final_cut - final_lo)

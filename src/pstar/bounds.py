@@ -22,6 +22,11 @@ Naming scheme (sieve quantity -> bound):
 * the whole interval           -> :func:`final_inequality`, minimized over
   the admissible number of blocks, reported term by term.
 
+The per-block evaluators take j as an int or as an int array of indices
+>= 1 (block 0 is scalar-only), so each chained sum is one array evaluation
+and a sequential ``np.cumsum``: the same additions in the same order as a
+loop over j.
+
 The block count b is never known exactly in advance, so the final
 inequality is evaluated at every admissible b and the minimum is reported:
 the certified statement is "positive for all admissible b", which is the
@@ -81,11 +86,17 @@ def _f(x):
 # per-block bounds
 
 
+def _block_index(j, xp):
+    """Block index j >= 1, an int or an int array, cast to xp."""
+    if np.any(np.asarray(j) < 1):
+        raise DomainError(f"block index must be >= 1 here (block 0 is the "
+                          f"scalar origin bound), got {np.min(j)}")
+    return xp(j) if np.ndim(j) == 0 else np.asarray(j).astype(xp)
+
+
 def _block_points(k, j, xp=float):
-    x_lo = xp(j) * xp(k)
-    x_mid = (xp(j) + xp(0.5)) * xp(k)
-    x_hi = (xp(j) + xp(1)) * xp(k)
-    return x_lo, x_mid, x_hi
+    jx, kx = _block_index(j, xp), xp(k)
+    return jx * kx, (jx + xp(0.5)) * kx, (jx + xp(1)) * kx
 
 
 def block_excess_main(k, j, xp=float):
@@ -95,17 +106,17 @@ def block_excess_main(k, j, xp=float):
     at these scales.  Requires the left edge j*k >= 3.
     """
     x_lo, x_mid, x_hi = _block_points(k, j, xp)
-    if x_lo < 3:
-        raise DomainError(f"block left edge {x_lo} below 3")
+    if np.any(x_lo < 3):
+        raise DomainError(f"block left edge {np.min(x_lo)} below 3")
     return 2 * _f(x_mid) - _f(x_lo) - _f(x_hi)
 
 
 def block_excess_error(k, j, xp=float):
     """Error budget of the per-block bound: envelope-weighted densities."""
     x_lo, x_mid, x_hi = _block_points(k, j, xp)
-    if x_lo < EPSILON_MIN_X:
+    if np.any(x_lo < EPSILON_MIN_X):
         raise DomainError(
-            f"block left edge {x_lo} below envelope domain {EPSILON_MIN_X}"
+            f"block left edge {np.min(x_lo)} below envelope domain {EPSILON_MIN_X}"
         )
     return (
         2 * epsilon(x_mid) * _f(x_mid)
@@ -124,9 +135,7 @@ def block_excess_lower(k, j, checked: bool = True, xp=float):
     k >= 2 953 652 287 (pass ``checked=False`` to evaluate the same formula
     below that floor, for exploration only).
     """
-    if j < 0:
-        raise DomainError(f"block index must be >= 0, got {j}")
-    if j == 0:
+    if np.ndim(j) == 0 and j == 0:
         return dusart_excess_lower(k, checked=checked)
     return block_excess_main(k, j, xp) - block_excess_error(k, j, xp)
 
@@ -137,14 +146,12 @@ def tail_correction(k, j, xp=float):
     k * eps(midpoint) / log^2(midpoint); exactly zero for block 0, whose
     bound is already stated for plain counts.
     """
-    if j < 0:
-        raise DomainError(f"block index must be >= 0, got {j}")
-    if j == 0:
+    if np.ndim(j) == 0 and j == 0:
         return xp(0.0)
-    x_mid = (xp(j) + xp(0.5)) * xp(k)
-    if x_mid < EPSILON_MIN_X:
+    _, x_mid, _ = _block_points(k, j, xp)
+    if np.any(x_mid < EPSILON_MIN_X):
         raise DomainError(
-            f"block midpoint {x_mid} below envelope domain {EPSILON_MIN_X}"
+            f"block midpoint {np.min(x_mid)} below envelope domain {EPSILON_MIN_X}"
         )
     return xp(k) * epsilon(x_mid) / np.log(x_mid) ** 2
 
@@ -234,10 +241,9 @@ def block_sum_direct(k, a: int, b: int, xp=float):
     """Directly summed per-block lower bounds, normalized by k."""
     if not (1 <= a <= b):
         raise DomainError(f"need 1 <= a <= b, got ({a}, {b})")
-    total = xp(0.0)
-    for j in range(a, b + 1):
-        total += block_excess_lower(k, j, xp=xp) - tail_correction(k, j, xp=xp)
-    return total / xp(k)
+    js = np.arange(a, b + 1, dtype=np.int64)
+    per_block = block_excess_lower(k, js, xp=xp) - tail_correction(k, js, xp=xp)
+    return np.cumsum(per_block)[-1] / xp(k)
 
 def block_sum_lower_bound(k, a: int, b: int, xp=float):
     """Closed-form lower bound for the normalized block sum over [a, b].
@@ -270,11 +276,10 @@ def concavity_sum_check(k, a: int, b: int):
     if not (1 <= a <= b):
         raise DomainError(f"need 1 <= a <= b, got ({a}, {b})")
 
+    js = np.arange(a, b + 1, dtype=np.int64)
+
     def evaluate(xp):
-        lhs = xp(0.0)
-        for j in range(a, b + 1):
-            lhs += block_excess_main(k, j, xp=xp)
-        lhs *= 8 / xp(k)
+        lhs = np.cumsum(block_excess_main(k, js, xp=xp))[-1] * (8 / xp(k))
         rhs = np.log((4 * xp(b) + 6) / (9 * xp(a))) / np.log((xp(b) + 1) * xp(k)) ** 2
         # ordered (rhs, lhs) so that "holds" is literally strictly_less(*pair)
         return rhs, lhs
@@ -494,6 +499,8 @@ def final_inequality_from_primitives(k, cfg: BoundConfig) -> MarginReport:
     if x_lam < EPSILON_MIN_X:
         raise DomainError(f"block start {x_lam} below envelope domain")
     b_range = cfg.admissible_b(k)
+    # running[i] below sums blocks lam..lam+i: the chain for b = lam + i
+    js = np.arange(cfg.lam, b_range.stop, dtype=np.int64)
 
     def evaluate(xp):
         kx = xp(k)
@@ -501,25 +508,17 @@ def final_inequality_from_primitives(k, cfg: BoundConfig) -> MarginReport:
             xp(x_lam)
         )
         surplus = xp(cfg.c2) * kx ** xp(-cfg.d2)
-        running = xp(0.0)
-        best = None
-        best_b = b_range.start
-        for b in b_range:
-            lo = cfg.lam if b == b_range.start else b
-            for jj in range(lo, b + 1):
-                running += (
-                    block_excess_lower(k, jj, xp=xp)
-                    - tail_correction(k, jj, xp=xp)
-                )
-            total_b = running / kx - start - surplus
-            if best is None or total_b < best:
-                best, best_b = total_b, b
+        running = np.cumsum(
+            block_excess_lower(k, js, xp=xp) - tail_correction(k, js, xp=xp)
+        )
+        totals = running[1:] / kx - start - surplus
+        i_min = int(np.argmin(totals))
         terms = {
-            "block_sum": best + start + surplus,
+            "block_sum": totals[i_min] + start + surplus,
             "start_correction": -start,
             "surplus_budget": -surplus,
         }
-        return terms, best, best_b
+        return terms, totals[i_min], b_range.start + i_min
 
     terms_xp, total_xp, b_min = evaluate(float)
     terms = {name: float(value) for name, value in terms_xp.items()}

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import half_counts_direct
 from .errors import DomainError, SieveBudgetError
-from .primes import PrimeCache
+from .primes import PrimeCache, simple_sieve
 
 
 @dataclass(frozen=True)
@@ -196,9 +196,8 @@ def search(cache: PrimeCache, k_values: Iterable[int],
 def totient_table(n: int) -> np.ndarray:
     """phi(0..n) by the sieve of multiplicative corrections."""
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in range(2, n + 1):
-        if phi[p] == p:  # untouched so far means p is prime
-            phi[p::p] -= phi[p::p] // p
+    for p in simple_sieve(n).tolist():
+        phi[p::p] -= phi[p::p] // p
     return phi
 
 

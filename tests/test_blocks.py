@@ -106,12 +106,28 @@ def test_boundary_terms_degenerate_tail(cache_small):
     assert (m1, m2) == (3, 1)
 
 
+def _literal_boundary_terms(cache, d):
+    """(M1, M2) with the lead block's second half closed at (lam+1)k.
+
+    The literal reading of the block endpoints, kept as a comparison oracle
+    for the resolved convention (which stops at (lam+1)k - 1); it needs
+    lam < big_lam.
+    """
+    k = d.k
+    lo, lead_cut, lead_hi, final_lo, final_cut, hi = cache.pi_many([
+        d.alpha - 1, max((2 * d.lam + 1) * k // 2, d.alpha - 1), (d.lam + 1) * k,
+        d.big_lam * k - 1, min((2 * d.big_lam + 1) * k // 2, d.beta), d.beta,
+    ])
+    return (int(lead_cut - lo + final_cut - final_lo),
+            int(lead_hi - lead_cut + hi - final_cut))
+
+
 def test_literal_convention_diverges_at_prime_edge(cache_small):
     # with k = 7 the lead block's right edge is the prime 7 itself; closing
     # the half-open second half there double-counts it
     d = classify_case(7, 1, 10)
     resolved = boundary_terms(cache_small, d)
-    literal = boundary_terms(cache_small, d, convention="literal")
+    literal = _literal_boundary_terms(cache_small, d)
     direct = half_counts_direct(cache_small, 7, 1, 10)
     assert resolved == (3, 1) == direct
     assert literal == (3, 2)
@@ -120,21 +136,7 @@ def test_literal_convention_diverges_at_prime_edge(cache_small):
 
 def test_literal_convention_agrees_at_composite_edges(cache_small):
     d = classify_case(10, 3, 47)
-    assert boundary_terms(cache_small, d) == boundary_terms(
-        cache_small, d, convention="literal")
-
-
-def test_unknown_convention_rejected(cache_small):
-    d = classify_case(10, 1, 18)
-    with pytest.raises(DomainError):
-        boundary_terms(cache_small, d, convention="verbatim")
-
-
-def test_literal_convention_undefined_within_one_block(cache_small):
-    d = classify_case(10, 12, 17)
-    assert d.single_block
-    with pytest.raises(DomainError):
-        boundary_terms(cache_small, d, convention="literal")
+    assert boundary_terms(cache_small, d) == _literal_boundary_terms(cache_small, d)
 
 
 # -- assembled counts vs the oracle ----------------------------------------

@@ -39,8 +39,68 @@ from pstar.errors import (
     ThresholdNotFoundError,
     UnsupportedCaseError,
 )
+from pstar.precision import strictly_less
 
 REFERENCE_C0 = 2_953_652_287
+
+# the criterion-07 grid at three k, thinned to every 7th a and 5th b
+CONCAVITY_CELLS = [(k, a, b) for k in (55, 10**3, 10**6)
+                   for a in range(1, 51, 7) for b in range(a, 51, 5)]
+
+
+# -- reference oracles: the chained sums one block at a time ----------------
+
+def _block_sum_loop(k, a, b, xp=float):
+    total = xp(0.0)
+    for j in range(a, b + 1):
+        total += block_excess_lower(k, j, xp=xp) - tail_correction(k, j, xp=xp)
+    return total / xp(k)
+
+
+def _concavity_check_loop(k, a, b):
+    def evaluate(xp):
+        lhs = xp(0.0)
+        for j in range(a, b + 1):
+            lhs += block_excess_main(k, j, xp=xp)
+        lhs *= 8 / xp(k)
+        rhs = np.log((4 * xp(b) + 6) / (9 * xp(a))) / np.log((xp(b) + 1) * xp(k)) ** 2
+        return rhs, lhs
+
+    rhs, lhs = evaluate(float)
+    holds = strictly_less(float(rhs), float(lhs),
+                          extended=lambda: evaluate(np.longdouble))
+    return float(lhs), float(rhs), holds
+
+
+def _primitives_loop(k, cfg):
+    """(terms, total, positive, b) of the primitive route, block by block."""
+    x_lam = cfg.lam * k
+    b_range = cfg.admissible_b(k)
+
+    def evaluate(xp):
+        kx = xp(k)
+        start = xp(cfg.lam) * (1 + pi_gap_margin(x_lam, x_lam, xp)) / np.log(xp(x_lam))
+        surplus = xp(cfg.c2) * kx ** xp(-cfg.d2)
+        running = xp(0.0)
+        best = best_b = None
+        for b in b_range:
+            lo = cfg.lam if b == b_range.start else b
+            for jj in range(lo, b + 1):
+                running += (block_excess_lower(k, jj, xp=xp)
+                            - tail_correction(k, jj, xp=xp))
+            total_b = running / kx - start - surplus
+            if best is None or total_b < best:
+                best, best_b = total_b, b
+        terms = {"block_sum": best + start + surplus,
+                 "start_correction": -start, "surplus_budget": -surplus}
+        return terms, best, best_b
+
+    terms_xp, _, b_min = evaluate(float)
+    terms = {name: float(value) for name, value in terms_xp.items()}
+    total = math.fsum(terms.values())
+    positive = strictly_less(
+        0.0, total, extended=lambda: (np.longdouble(0.0), evaluate(np.longdouble)[1]))
+    return terms, total, positive, b_min
 
 
 # -- per-block pieces -------------------------------------------------------
@@ -85,6 +145,36 @@ def test_tail_correction_values():
     mid = 4_500.0
     want = k * epsilon(mid) / math.log(mid) ** 2
     assert tail_correction(k, j) == pytest.approx(want, rel=1e-14)
+
+
+PER_BLOCK = (block_excess_main, block_excess_error, block_excess_lower,
+             tail_correction)
+
+
+@pytest.mark.parametrize("xp", [float, np.longdouble])
+@pytest.mark.parametrize("k", [149, 1_000, 10**6, 1e12])
+def test_per_block_array_matches_scalar(k, xp):
+    js = np.arange(1, 300, dtype=np.int64)
+    for f in PER_BLOCK:
+        values = f(k, js, xp=xp)
+        assert values.dtype == np.dtype(xp) and values.shape == js.shape
+        for j, v in zip(js.tolist(), values):
+            assert v == f(k, j, xp=xp), (f.__name__, k, j)
+
+
+def test_per_block_scalar_stays_scalar():
+    for f in PER_BLOCK:
+        v = f(1_000, 7)
+        assert isinstance(v, float) and np.ndim(v) == 0, f.__name__
+        assert isinstance(f(1_000, 7, xp=np.longdouble), np.longdouble)
+
+
+def test_per_block_array_rejects_origin_block():
+    # block 0 is the origin bound, scalar-only
+    for f in PER_BLOCK:
+        for js in (np.array([0, 1, 2]), np.array([3, -1])):
+            with pytest.raises(DomainError):
+                f(10**10, js)
 
 
 def test_block_domination_sampled(cache_main):
@@ -181,6 +271,20 @@ def test_block_sum_direct_is_plain_sum():
     assert block_sum_direct(k, a, b) == pytest.approx(want, rel=1e-12)
 
 
+def test_block_sum_direct_equals_loop():
+    for k, a, b in CONCAVITY_CELLS:
+        if a * k >= 149:
+            assert block_sum_direct(k, a, b) == _block_sum_loop(k, a, b), (k, a, b)
+    for k, a, b in ((10**3, 3, 40), (10**6, 1, 50)):
+        assert block_sum_direct(k, a, b, xp=np.longdouble) == _block_sum_loop(
+            k, a, b, xp=np.longdouble)
+
+
+def test_concavity_sum_check_equals_loop():
+    for k, a, b in CONCAVITY_CELLS:
+        assert concavity_sum_check(k, a, b) == _concavity_check_loop(k, a, b), (k, a, b)
+
+
 def test_block_sum_lower_bound_sits_below_direct():
     for k in (10**4, 10**6):
         for a, b in ((1, 8), (2, 17), (5, 5)):
@@ -256,6 +360,15 @@ def test_dual_route_verdicts_agree():
         a = final_inequality(float(k), cfg)
         b = final_inequality_from_primitives(float(k), cfg)
         assert a.positive == b.positive, k
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3])
+def test_primitives_route_equals_loop(lam):
+    cfg = BoundConfig(lam=lam)
+    for k in np.geomspace(1e3, 1e18, 8):
+        rep = final_inequality_from_primitives(float(k), cfg)
+        assert (rep.terms, rep.total, rep.positive, rep.b) == _primitives_loop(
+            float(k), cfg), k
 
 
 def test_primitives_route_rejects_origin():

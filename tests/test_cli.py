@@ -159,6 +159,17 @@ def test_bound_record_shape(capsys):
                                  "half_block_log"}
 
 
+def test_bound_primitives_record(capsys):
+    code, out, _ = run_cli(capsys, "bound", "--k", "1e12", "--lambda", "1",
+                           "--primitives")
+    assert code == EX_OK
+    _, results = parse_json_lines(out)
+    rec = results[0]
+    assert rec["case"] == "offset-primitives"
+    assert (rec["b"], rec["positive"]) == (761, False)
+    assert rec["total"] == -3093.0095188306864
+
+
 def test_bound_requires_lambda(capsys):
     code, _, err = run_cli(capsys, "bound", "--k", "1e12")
     assert code == EX_USAGE
