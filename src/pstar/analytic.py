@@ -20,10 +20,13 @@ estimate:
 * ``phi_lower_bound(k)``: k / (1.7811 loglog k + 2.51/loglog k) <= phi(k)
   for k >= 3.
 
-* ``li(x)``: offset logarithmic integral int_2^x dt/log t, evaluated
-  through the exponential integral (li(x) = Ei(log x) - Ei(log 2)).
-  ``li_quadrature`` recomputes it by adaptive quadrature and serves as
-  the independent cross-check.
+* ``li(x)``: offset logarithmic integral int_2^x dt/log t, summed from
+  the exponential-integral series: li(x) = S(log x) - S(log 2) with
+  S(u) = log u + sum_{n>=1} u^n / (n n!).  Euler's gamma cancels between
+  the two terms and every term of the sum is positive, so nothing
+  cancels; about u + 10 sqrt(u) + 30 terms reach full precision up to
+  x = 1e300.  The tests cross-check it against adaptive quadrature and
+  mpmath.
 
 * ``pi_via_theta_identity``: pi(x) = theta(x)/log x
   + int_2^x theta(t)/(t log^2 t) dt.  theta is a step function, so the
@@ -38,58 +41,45 @@ dtype, so passing np.longdouble re-runs a formula in 80-bit precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expi
 
 from .errors import DomainError
 
 ETA = 6.455
 EPSILON_MIN_X = 149.0
 DUSART_MIN_K = 2_953_652_287
-_LI_OFFSET = float(expi(math.log(2.0)))
 
 
-@dataclass(frozen=True)
-class EpsilonParams:
-    """Shape constants of the theta envelope; defaults are the proven ones."""
-
-    eta: float = ETA
-    min_x: float = EPSILON_MIN_X
-
-
-DEFAULT_EPSILON = EpsilonParams()
-
-
-def epsilon(x, params: EpsilonParams = DEFAULT_EPSILON):
-    """Envelope epsilon(x) with |theta(x) - x| < x epsilon(x), x >= params.min_x."""
+def epsilon(x):
+    """Envelope epsilon(x) with |theta(x) - x| < x epsilon(x), x >= EPSILON_MIN_X."""
     arr = np.asarray(x)
-    if np.any(arr < params.min_x):
-        raise DomainError(f"epsilon needs x >= {params.min_x}")
+    if np.any(arr < EPSILON_MIN_X):
+        raise DomainError(f"epsilon needs x >= {EPSILON_MIN_X}")
     L = np.log(arr)
-    val = np.sqrt(8.0 * L / (17.0 * np.pi * params.eta)) * np.exp(-np.sqrt(L / params.eta))
+    val = np.sqrt(8.0 * L / (17.0 * np.pi * ETA)) * np.exp(-np.sqrt(L / ETA))
     return val[()] if val.ndim == 0 else val
+
+
+def _ei_series(u):
+    """log u + sum_{n>=1} u^n / (n n!), i.e. Ei(u) - gamma, for u > 0."""
+    top = float(np.max(u, initial=0.0))
+    power = u.copy()  # u^n / n!
+    total = np.log(u) + power
+    for n in range(2, math.ceil(top + 10.0 * math.sqrt(top) + 30.0)):
+        power *= u / n
+        total += power / n
+    return total
 
 
 def li(x):
     """Offset logarithmic integral int_2^x dt/log t; li(2) = 0."""
-    arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 2.0):
-        raise DomainError("li is defined here for x >= 2")
-    val = expi(np.log(arr)) - _LI_OFFSET
-    return float(val) if arr.ndim == 0 else val
-
-
-def li_quadrature(x: float, epsrel: float = 1e-12) -> float:
-    """li by adaptive quadrature of e^u/u over u = log t; cross-check path."""
-    if x < 2.0:
-        raise DomainError("li is defined here for x >= 2")
-    from scipy.integrate import quad  # cross-check only; keeps it out of start-up
-
-    val, _ = quad(lambda u: math.exp(u) / u, math.log(2.0), math.log(x),
-                  epsabs=0.0, epsrel=epsrel, limit=200)
-    return val
+    arr = np.asarray(x)
+    if not np.all((arr >= 2) & np.isfinite(arr)):
+        raise DomainError("li is defined here for finite x >= 2")
+    u = np.log(arr)
+    val = _ei_series(u) - _ei_series(np.log(u.dtype.type(2)))
+    return val[()] if val.ndim == 0 else val
 
 
 def dusart_excess_lower(k, checked: bool = True):

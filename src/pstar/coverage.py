@@ -143,19 +143,19 @@ def simulate_coverage(
     error and the first-order prediction.
     """
     phi = arithmetic_profile(cfg.k).phi
-    draws = round(cfg.coverage_exponent * phi * math.log(cfg.k))
+    draws = draw_count(cfg.k, cfg.coverage_exponent)
     predicted = predicted_failure(cfg.k, cfg.coverage_exponent)
 
     if cfg.mode == "real-primes":
         empirical = 1.0 if _real_primes_fail(cfg.k, draws, cache) else 0.0
         return SimResult(cfg, phi, draws, empirical, 0.0, predicted)
+    if draws == 0:
+        # phi >= 2 for k >= 3, so with no draws every trial leaves a class empty
+        return SimResult(cfg, phi, draws, 1.0, 0.0, predicted)
 
     failures = 0
     for trial in range(cfg.trials):
         rng = np.random.default_rng((cfg.seed, trial))
-        if draws == 0:
-            failures += 1 if phi > 0 else 0
-            continue
         hits = np.bincount(rng.integers(0, phi, size=draws), minlength=phi)
         if int(hits.min()) == 0:
             failures += 1

@@ -25,17 +25,16 @@ def relative_margin(lhs: float, rhs: float) -> float:
 
 
 def strictly_less(lhs: float, rhs: float,
-                  extended: Callable[[], tuple] | None = None,
-                  rel_margin: float = REL_MARGIN) -> bool:
+                  extended: Callable[[], tuple] | None = None) -> bool:
     """Decide lhs < rhs, deferring to ``extended()`` when the margin is thin.
 
     ``extended`` recomputes (lhs, rhs) at >= 80-bit precision.  Without it,
     a thin margin falls back to the double verdict.
     """
     margin = relative_margin(lhs, rhs)
-    if margin >= rel_margin:
+    if margin >= REL_MARGIN:
         return True
-    if margin <= -rel_margin:
+    if margin <= -REL_MARGIN:
         return False
     if extended is not None:
         e_lhs, e_rhs = extended()

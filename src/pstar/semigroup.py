@@ -16,12 +16,15 @@ qualitative explorations here report trends instead of asserting the
 idealized unit-constant growth.
 
 The logarithmic-integral helpers at the bottom evaluate the quantity that
-drives the half-block excess at infinite precision level: the second
-difference of li across a block, and its closed form against an integral
-representation.  The printed form of that integral representation in the
-source material starts at 2, where the integrand is non-integrable for
-exponent 1; the identity used here starts at 2^(1+delta) and subtracts
-li(2^(1+delta)), which is what the substitution actually yields.
+drives the half-block excess at infinite precision level: the
+half-versus-whole excess 2 li((K/2)^delta) - li(K^delta) and the second
+difference of li across a block.  Both call ``analytic.li``, a pure numpy
+series.  The tests hold the cross-check, an integral representation of the
+excess evaluated by adaptive quadrature.  The printed form of that
+integral in the source material starts at 2, where the integrand is
+non-integrable for exponent 1; the identity used there starts at
+2^(1+delta) and subtracts li(2^(1+delta)), which is what the substitution
+actually yields.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "prime_norm_count",
     "half_norm_counts",
     "li_difference",
-    "li_difference_integral",
     "li_block_difference",
     "growth_trend",
 ]
@@ -151,39 +153,6 @@ def li_difference(big_k: float, delta: float):
     if half < 2:
         raise DomainError(f"(K/2)^delta must be >= 2, got {half}")
     return 2 * li(half) - li(big_k ** delta)
-
-
-def _li_difference_integrand(tau: float, delta: float) -> float:
-    two = 2.0 ** (1.0 - delta)
-    return (two - 1.0 + delta * math.log(2.0) / math.log(tau)) / math.log(
-        2.0 ** -delta * tau
-    )
-
-
-def li_difference_integral(big_k: float, delta: float, epsrel: float = 1e-10):
-    """Integral representation of :func:`li_difference`.
-
-    Evaluates the substitution identity
-
-        2 li((K/2)^d) - li(K^d)
-            = integral from 2^(1+d) to K^d of
-              (2^(1-d) - 1 + d log2 / log tau) / log(2^(-d) tau) dtau
-            - li(2^(1+d))
-
-    The lower limit sits above the integrand's pole at 2^d, so the
-    quadrature is routine.
-    """
-    lo = 2.0 ** (1.0 + delta)
-    hi = big_k ** delta
-    if hi <= lo:
-        raise DomainError(f"K^delta must exceed {lo}, got {hi}")
-    from scipy.integrate import quad  # cross-check only; keeps it out of start-up
-
-    value, err = quad(
-        _li_difference_integrand, lo, hi, args=(delta,), epsabs=0.0,
-        epsrel=epsrel, limit=200,
-    )
-    return value - li(lo)
 
 
 def li_block_difference(k: float, j: int, delta: float):

@@ -7,6 +7,7 @@ through a second code path at runtime.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -15,11 +16,9 @@ from pstar.analytic import (
     DUSART_MIN_K,
     EPSILON_MIN_X,
     ETA,
-    EpsilonParams,
     dusart_excess_lower,
     epsilon,
     li,
-    li_quadrature,
     phi_lower_bound,
     pi_via_theta_identity,
     wallis_bounds,
@@ -53,11 +52,24 @@ class TestEpsilon:
         vals = epsilon(xs)
         assert np.all(np.diff(vals) < 0)
 
-    def test_custom_params_change_envelope(self):
-        loose = EpsilonParams(eta=8.0, min_x=100.0)
-        assert epsilon(120.0, loose) > 0
-        # larger eta decays slower far out
-        assert epsilon(1e12, loose) > epsilon(1e12)
+
+def li_quadrature(x: float, epsrel: float = 1e-12) -> float:
+    """li by adaptive quadrature of e^u/u over u = log t; the series' oracle."""
+    if x < 2.0:
+        raise DomainError("li is defined here for x >= 2")
+    val, _ = quad(lambda u: math.exp(u) / u, math.log(2.0), math.log(x),
+                  epsabs=0.0, epsrel=epsrel, limit=200)
+    return val
+
+
+def _li_mpmath(x) -> mpmath.mpf:
+    """li(x) - li(2) in mpmath, at the exact binary value of x."""
+    return mpmath.li(_exact(x)) - mpmath.li(2)
+
+
+def _exact(v) -> mpmath.mpf:
+    # enough digits to carry every bit of a float64 or an 80-bit longdouble
+    return mpmath.mpf(np.format_float_scientific(v, unique=False, precision=30))
 
 
 class TestLi:
@@ -80,6 +92,9 @@ class TestLi:
     def test_li_rejects_below_two(self):
         with pytest.raises(DomainError):
             li(1.5)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                li(np.array([10.0, bad]))
         with pytest.raises(DomainError):
             li_quadrature(1.999)
 
@@ -87,6 +102,29 @@ class TestLi:
         vals = li(np.array([2.0, 10.0, 100.0]))
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.diff(vals) > 0)
+
+    def test_li_matches_mpmath_float64(self):
+        with mpmath.workdps(40):
+            xs = np.append(np.geomspace(2.5, 1e18, 400), [1e30, 1e100, 1e300])
+            vals = li(xs)
+            assert vals.dtype == np.float64
+            worst = max(abs(mpmath.mpf(float(v)) / _li_mpmath(x) - 1)
+                        for v, x in zip(vals, xs))
+            assert worst <= 1e-13
+            near_two = np.linspace(2.0, 2.5, 51)[1:]
+            worst_abs = max(abs(mpmath.mpf(float(v)) - _li_mpmath(x))
+                            for v, x in zip(li(near_two), near_two))
+            assert worst_abs <= 2e-15
+
+    def test_li_longdouble_keeps_dtype_and_precision(self):
+        assert isinstance(li(np.longdouble(1000)), np.longdouble)
+        with mpmath.workdps(40):
+            xs = np.geomspace(np.longdouble(2.5), np.longdouble(1e18), 400)
+            vals = li(xs)
+            assert vals.dtype == np.longdouble
+            worst = max(abs(_exact(v) / _li_mpmath(x) - 1)
+                        for v, x in zip(vals, xs))
+            assert worst <= 1e-16
 
 
 class TestDusartExcess:

@@ -32,12 +32,31 @@ def parse_json_lines(out):
     return lines[0], results
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def test_import_leaves_out_scipy_integrate():
-    # quad serves only the cross-check paths, so start-up must not load it
-    code = "import pstar.cli, sys; assert 'scipy.integrate' not in sys.modules"
-    src = Path(__file__).resolve().parents[1] / "src"
+    # numpy is the only runtime dependency: start-up loads no scipy module
+    code = ("import pstar.cli, sys; "
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+                   env={**os.environ, "PYTHONPATH": str(SRC)})
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "1e12", "--lambda", "0"],
+    ["verify", "--k", "30", "--classical", "--limit", "10000"],
+    ["semigroup", "--x", "1000", "--k-norm", "10", "--limit", "10000"],
+])
+def test_cli_runs_without_scipy(argv):
+    # a None entry in sys.modules makes every scipy import raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from pstar.cli import main; "
+            f"sys.exit(main({argv!r}))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == EX_OK, done.stderr
 
 
 # -- verify -------------------------------------------------------------------

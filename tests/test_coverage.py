@@ -78,6 +78,14 @@ def test_simulation_matches_exact_oracle():
         assert abs(res.empirical - exact) <= 3.0 * se, k
 
 
+def test_zero_draws_always_fail():
+    # round(0.1 * phi(3) * log 3) = 0: no draw covers either class
+    res = simulate_coverage(SimConfig(k=3, coverage_exponent=0.1, trials=50,
+                                      seed=1))
+    assert (res.draws, res.empirical, res.stderr) == (0, 1.0, 0.0)
+    assert res.empirical == exact_failure_probability(res.phi, res.draws)
+
+
 def test_failure_rate_falls_with_exponent():
     lo = simulate_coverage(SimConfig(k=101, coverage_exponent=0.5,
                                      trials=2_000, seed=11))

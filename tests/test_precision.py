@@ -47,18 +47,6 @@ def test_relative_margin_sign_and_scale():
     assert relative_margin(1e300, 2e300) == pytest.approx(relative_margin(1.0, 2.0))
 
 
-def test_custom_margin_threshold():
-    flagged = []
-
-    def spy():
-        flagged.append(1)
-        return np.longdouble(1), np.longdouble(2)
-
-    # with a huge threshold everything is "thin" and goes to the callback
-    assert strictly_less(1.0, 5.0, extended=spy, rel_margin=10.0)
-    assert flagged
-
-
 @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False),
        st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
 def test_agrees_with_exact_rational_comparison(a, b):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from scipy.integrate import quad
 
 from pstar import blocks
 from pstar.analytic import li
@@ -16,7 +17,6 @@ from pstar.semigroup import (
     half_norm_counts,
     li_block_difference,
     li_difference,
-    li_difference_integral,
     prime_norm_count,
 )
 
@@ -97,6 +97,37 @@ def test_half_norm_counts_gaussian(cache_small):
 
 
 # -- li difference identities -------------------------------------------------
+
+def _li_difference_integrand(tau: float, delta: float) -> float:
+    two = 2.0 ** (1.0 - delta)
+    return (two - 1.0 + delta * math.log(2.0) / math.log(tau)) / math.log(
+        2.0 ** -delta * tau
+    )
+
+
+def li_difference_integral(big_k: float, delta: float, epsrel: float = 1e-10):
+    """Integral representation of :func:`li_difference`, the series' oracle.
+
+    Evaluates the substitution identity
+
+        2 li((K/2)^d) - li(K^d)
+            = integral from 2^(1+d) to K^d of
+              (2^(1-d) - 1 + d log2 / log tau) / log(2^(-d) tau) dtau
+            - li(2^(1+d))
+
+    The lower limit sits above the integrand's pole at 2^d, so the
+    quadrature is routine.
+    """
+    lo = 2.0 ** (1.0 + delta)
+    hi = big_k ** delta
+    if hi <= lo:
+        raise DomainError(f"K^delta must exceed {lo}, got {hi}")
+    value, err = quad(
+        _li_difference_integrand, lo, hi, args=(delta,), epsabs=0.0,
+        epsrel=epsrel, limit=200,
+    )
+    return value - li(lo)
+
 
 def test_li_difference_matches_integral_form():
     for big_k, delta in ((1e5, 1.0), (1e5, 2.0), (1e8, 1.5), (2e3, 1.0)):
