@@ -303,11 +303,9 @@ class BoundConfig:
     the interval starts below k).  The d/c pairs budget the three
     deviations: start offset within its block (d1, c1), surplus prime count
     beyond exact coverage (d2, c2), and the admissible number of blocks
-    (d3, c3), which caps b at floor(c3 * log(k)^d3) - 2.
-
-    ``b_policy`` names the quantifier over admissible b; the only supported
-    policy is "minimize" (the inequality must hold for every admissible b,
-    so the certifiable value is the minimum).
+    (d3, c3), which caps b at floor(c3 * log(k)^d3) - 2.  The inequality
+    must hold for every admissible b, so the certifiable value is the
+    minimum over them.
     """
 
     lam: int
@@ -317,7 +315,6 @@ class BoundConfig:
     c1: float = 1.0
     c2: float = 1.0
     c3: float = 1.0
-    b_policy: str = "minimize"
 
     def __post_init__(self):
         if self.lam < 0:
@@ -325,8 +322,6 @@ class BoundConfig:
         for name in ("d1", "d2", "d3", "c1", "c2", "c3"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        if self.b_policy != "minimize":
-            raise DomainError(f"unsupported b_policy {self.b_policy!r}")
 
     def b_cap(self, k) -> int:
         return math.floor(self.c3 * math.log(k) ** self.d3) - 2

@@ -20,21 +20,27 @@ the sum of the logs of the primes before the block.  Per query:
 The index takes 24 bytes per 1024 integers, 3/8 of the bitmap: about
 2.3 MB at a ceiling of 10^8 and 23 MB at 10^9.
 
-theta checkpoints are accumulated with Kahan compensation across sieve
-segments so that the running sum stays well below 1e-9 relative error at
-a 10^9 ceiling.  The cache is immutable after construction; concurrent
-readers are safe.
+``PrimeCache(limit, packed)`` is the one constructor: ``build`` sieves
+into a zeroed bitmap, ``load`` passes the bytes it has checked and
+``from_primes`` sets bits in a zeroed bitmap.  It derives the block counts
+from the popcounts of the bitmap's 64-bit words, vectorised over all blocks.  The theta checkpoints
+take a ``log`` of every prime, so they are made on the first ``theta``
+call, accumulated with Kahan compensation across chunks so that the
+running sum stays well below 1e-9 relative error at a 10^9 ceiling.  The
+cache is immutable; concurrent readers are safe, except that two threads
+making the first ``theta`` call at once may both compute the checkpoints.
 
 A cache file (format version 2) holds a 20-byte little-endian header --
 magic ``PSTC``, u32 version, u64 build ceiling, u32 CRC-32 of the bitmap --
 followed by the packed bitmap as it is in memory: 6.25 MB at a ceiling of
 10^8.  ``load`` checks every header field, the bitmap's length and its
-checksum, then rebuilds the block index from the bitmap through the same
-code as ``build``.  Files of version 1 (a list of u64 primes) are rejected.
+checksum, and that no bit is set past the ceiling.  Files of version 1
+(a list of u64 primes) are rejected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -50,9 +56,6 @@ from .errors import CacheFormatError, DomainError, SieveBudgetError
 DEFAULT_SEGMENT_ODDS = 1 << 20  # odd numbers sieved per segment, whole blocks
 _BLOCK_BITS = 512  # index granularity: 8 64-bit words per checkpoint
 _LOW_MASKS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
-# sub[b] packs the counts before words 1..7 into 9-bit fields: at most
-# 448 < 2^9 each, so the weighted sum fits the 63 low bits.
-_SUB_WEIGHTS = np.int64(1) << np.arange(0, 63, 9, dtype=np.int64)
 
 _MAGIC = b"PSTC"
 _VERSION = 2
@@ -67,6 +70,11 @@ class ArithmeticProfile:
     phi: int
     omega: int
     prime_divisors: tuple[int, ...]
+
+
+def _bitmap_bytes(limit: int) -> int:
+    """Whole 512-bit blocks over the odd numbers <= limit, and one more."""
+    return (((limit - 1) // 2 + 1) // _BLOCK_BITS + 1) * _BLOCK_BITS // 8
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -84,105 +92,95 @@ def simple_sieve(limit: int) -> np.ndarray:
 class PrimeCache:
     """Immutable packed bitmap of odd primes up to ``limit`` (inclusive)."""
 
-    def __init__(self, limit: int, packed: np.ndarray, rank: np.ndarray,
-                 sub: np.ndarray, theta: np.ndarray):
+    def __init__(self, limit: int, packed: np.ndarray):
+        """Index ``packed``: bit i is the odd number 2i + 1, zero past ``limit``,
+        in :func:`_bitmap_bytes` bytes."""
         self.limit = limit
-        self._packed = packed  # whole blocks, zero past the last odd number
+        self._packed = packed
         self._words = packed.view("<u8")
-        self._rank = rank  # rank[b]: set bits with index < 512 b
-        self._sub = sub  # sub[b]: set bits of block b before word j, j = 1..7
-        self._theta = theta  # theta[b]: sum of log(2i + 1) over rank[b]'s bits
+        # rank and sub are allocated before the temporaries: after them, they
+        # left a long-running process with more of its heap resident.
+        n_blocks = len(self._words) // 8
+        self._rank = np.zeros(n_blocks + 1, dtype=np.int64)  # rank[b]: bits set before bit 512 b
+        # sub[b]: the counts before words 1..7 of block b in 9-bit fields (at
+        # most 448 < 2^9 each), so the seven fields fit the 63 low bits.
+        self._sub = np.zeros(n_blocks, dtype=np.int64)
+        per_word = np.bitwise_count(self._words).reshape(-1, 8)
+        within = np.zeros(n_blocks, dtype=np.uint16)  # bits of block b so far, <= 512
+        for j in range(7):
+            within += per_word[:, j]
+            self._sub |= within.astype(np.int64) << (9 * j)
+        within += per_word[:, 7]
+        np.cumsum(within, dtype=np.int64, out=self._rank[1:])
 
-    # -- construction ---------------------------------------------------
-
-    @classmethod
-    def build(cls, limit: int) -> "PrimeCache":
-        if limit < 2:
-            raise DomainError(f"sieve ceiling must be >= 2, got {limit}")
-        n_indices = (limit - 1) // 2 + 1  # bit i <-> odd number 2i+1
-        base = simple_sieve(math.isqrt(limit))
-        base_odd = [int(p) for p in base if p > 2]
-
-        def segments():
-            for i0 in range(0, n_indices, DEFAULT_SEGMENT_ODDS):
-                i1 = min(i0 + DEFAULT_SEGMENT_ODDS, n_indices)
-                mask = np.ones(i1 - i0, dtype=bool)
-                if i0 == 0:
-                    mask[0] = False  # the number 1
-                lo_val = 2 * i0 + 1
-                hi_val = 2 * (i1 - 1) + 1
-                for p in base_odd:
-                    pp = p * p
-                    if pp > hi_val:
-                        break
-                    m = max(pp, ((lo_val + p - 1) // p) * p)
-                    if m % 2 == 0:
-                        m += p
-                    mask[(m - 1) // 2 - i0 :: p] = False
-                yield mask
-
-        return cls._from_segments(limit, segments())
-
-    @classmethod
-    def from_primes(cls, primes: np.ndarray) -> "PrimeCache":
-        """Rebuild a cache from a prime list; the ceiling is its largest prime."""
-        if primes.size == 0:
-            raise CacheFormatError("prime list is empty")
-        if primes[0] != 2 or np.any(np.diff(primes) <= 0):
-            raise CacheFormatError("prime list must start at 2 and increase strictly")
-        limit = int(primes[-1])
-        n_indices = (limit - 1) // 2 + 1
-        bits = np.zeros(n_indices, dtype=bool)
-        bits[(primes[1:] - 1) // 2] = True
-        return cls._from_segments(
-            limit, (bits[i0 : i0 + DEFAULT_SEGMENT_ODDS]
-                    for i0 in range(0, n_indices, DEFAULT_SEGMENT_ODDS)))
-
-    @classmethod
-    def _from_segments(cls, limit: int, masks) -> "PrimeCache":
-        """Pack consecutive segment masks and fill the block index from them.
-
-        Every constructor goes through here (``build``, ``load`` and
-        ``from_primes``), so a loaded or rebuilt cache holds the same
-        checkpoints, bit for bit, as the sieved one.
-        Block popcounts come from the packed words and theta block sums from
-        the logs of the segment's primes, with no second pass.
-        """
-        n_indices = (limit - 1) // 2 + 1
-        # One block more than the whole ones, so rank at n_indices is in range.
-        n_blocks = n_indices // _BLOCK_BITS + 1
-        packed = np.zeros(n_blocks * _BLOCK_BITS // 8, dtype=np.uint8)
-        words = packed.view("<u8")
-        rank = np.zeros(n_blocks + 1, dtype=np.int64)
-        sub = np.zeros(n_blocks, dtype=np.int64)
+    @functools.cached_property
+    def _theta(self) -> np.ndarray:
+        """theta[b]: sum of log(2i + 1) over rank[b]'s bits, made on first use
+        from chunks of DEFAULT_SEGMENT_ODDS bits."""
+        n_blocks = len(self._sub)
+        chunk = DEFAULT_SEGMENT_ODDS // _BLOCK_BITS
         theta = np.zeros(n_blocks + 1, dtype=np.float64)
         theta_sum = 0.0
-        theta_comp = 0.0  # Kahan carry across segments
-        for seg, mask in enumerate(masks):
-            i0 = seg * DEFAULT_SEGMENT_ODDS
-            b0 = i0 // _BLOCK_BITS
-            b1 = min(b0 + DEFAULT_SEGMENT_ODDS // _BLOCK_BITS, n_blocks)
-            packed[i0 // 8 : i0 // 8 + (mask.size + 7) // 8] = np.packbits(
-                mask, bitorder="little")
-            per_word = np.bitwise_count(words[8 * b0 : 8 * b1]).reshape(-1, 8)
-            within = np.cumsum(per_word.astype(np.int64), axis=1)
-            sub[b0:b1] = within[:, :7] @ _SUB_WEIGHTS
-            counts = within[:, 7]
-            ends = np.cumsum(counts)  # segment bits before each block end
-            rank[b0 + 1 : b1 + 1] = rank[b0] + ends
+        theta_comp = 0.0  # Kahan carry across chunks
+        for b0 in range(0, n_blocks, chunk):
+            b1 = min(b0 + chunk, n_blocks)
+            bits = np.unpackbits(self._packed[b0 * 64 : b1 * 64], bitorder="little").view(bool)
+            logs = np.log(2.0 * np.flatnonzero(bits) + (2 * b0 * _BLOCK_BITS + 1))
+            edges = self._rank[b0 : b1 + 1] - self._rank[b0]  # chunk bits before each block
             # reduceat gives an empty slice its first element, not 0, so
             # only the nonempty blocks are summed.
-            logs = np.log(2.0 * np.flatnonzero(mask) + (2 * i0 + 1))
-            nonempty = counts > 0
+            nonempty = edges[1:] > edges[:-1]
             sums = np.zeros(b1 - b0)
-            sums[nonempty] = np.add.reduceat(logs, (ends - counts)[nonempty])
+            sums[nonempty] = np.add.reduceat(logs, edges[:-1][nonempty])
             local = np.cumsum(sums)
             theta[b0 + 1 : b1 + 1] = theta_sum + (local - theta_comp)
             y = local[-1] - theta_comp
             t = theta_sum + y
             theta_comp = (t - theta_sum) - y
             theta_sum = t
-        return cls(limit, packed, rank, sub, theta)
+        return theta
+
+    # -- construction ---------------------------------------------------
+
+    @classmethod
+    def build(cls, limit: int) -> "PrimeCache":
+        """Sieve the odd numbers up to ``limit`` segment by segment into the bitmap."""
+        if limit < 2:
+            raise DomainError(f"sieve ceiling must be >= 2, got {limit}")
+        n_indices = (limit - 1) // 2 + 1  # bit i <-> odd number 2i+1
+        packed = np.zeros(_bitmap_bytes(limit), dtype=np.uint8)
+        base_odd = [int(p) for p in simple_sieve(math.isqrt(limit)) if p > 2]
+        for i0 in range(0, n_indices, DEFAULT_SEGMENT_ODDS):
+            i1 = min(i0 + DEFAULT_SEGMENT_ODDS, n_indices)
+            mask = np.ones(i1 - i0, dtype=bool)
+            if i0 == 0:
+                mask[0] = False  # the number 1
+            lo_val = 2 * i0 + 1
+            hi_val = 2 * (i1 - 1) + 1
+            for p in base_odd:
+                pp = p * p
+                if pp > hi_val:
+                    break
+                m = max(pp, ((lo_val + p - 1) // p) * p)
+                if m % 2 == 0:
+                    m += p
+                mask[(m - 1) // 2 - i0 :: p] = False
+            packed[i0 // 8 : i0 // 8 + (mask.size + 7) // 8] = np.packbits(
+                mask, bitorder="little")
+        return cls(limit, packed)
+
+    @classmethod
+    def from_primes(cls, primes: np.ndarray) -> "PrimeCache":
+        """Cache up to the largest of ``primes``, their bits set in a zeroed bitmap."""
+        if primes.size == 0:
+            raise CacheFormatError("prime list is empty")
+        if primes[0] != 2 or np.any(np.diff(primes) <= 0):
+            raise CacheFormatError("prime list must start at 2 and increase strictly")
+        limit = int(primes[-1])
+        packed = np.zeros(_bitmap_bytes(limit), dtype=np.uint8)
+        idx = (primes[1:] - 1) // 2
+        np.bitwise_or.at(packed, idx >> 3, (1 << (idx & 7)).astype(np.uint8))
+        return cls(limit, packed)
 
     # -- persistence -----------------------------------------------------
 
@@ -208,7 +206,11 @@ class PrimeCache:
 
     @classmethod
     def load(cls, path: str | Path) -> "PrimeCache":
-        """Read a file written by ``save``; ``CacheFormatError`` if it is not one."""
+        """Read a file written by ``save``; ``CacheFormatError`` if it is not one.
+
+        The checked bytes become the cache's bitmap as they are; the block
+        index is derived from them as for a sieved cache.
+        """
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
             if len(header) < _HEADER.size:
@@ -221,23 +223,17 @@ class PrimeCache:
                                        f"expected {_VERSION}; delete it to rebuild")
             if limit < 2:
                 raise CacheFormatError(f"cache ceiling {limit} is below 2")
-            n_indices = (limit - 1) // 2 + 1
-            size = (n_indices // _BLOCK_BITS + 1) * _BLOCK_BITS // 8
+            size = _bitmap_bytes(limit)
             body = fh.read()
         if len(body) != size:
             raise CacheFormatError(
                 f"ceiling {limit} needs a {size}-byte bitmap, file holds {len(body)}")
         if zlib.crc32(body) != crc:
             raise CacheFormatError("bitmap checksum mismatch")
-        packed = np.frombuffer(body, dtype=np.uint8)
-
-        def segments():
-            for i0 in range(0, n_indices, DEFAULT_SEGMENT_ODDS):
-                i1 = min(i0 + DEFAULT_SEGMENT_ODDS, n_indices)
-                bits = packed[i0 // 8 : (i1 + 7) // 8]
-                yield np.unpackbits(bits, bitorder="little", count=i1 - i0).view(bool)
-
-        return cls._from_segments(limit, segments())
+        cache = cls(limit, np.frombuffer(body, dtype=np.uint8))
+        if cache.prime_count() != cache.pi(limit):
+            raise CacheFormatError(f"bitmap has bits set past the ceiling {limit}")
+        return cache
 
     # -- queries ----------------------------------------------------------
 

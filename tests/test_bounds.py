@@ -315,8 +315,6 @@ def test_config_validation():
         BoundConfig(lam=-1)
     with pytest.raises(DomainError):
         BoundConfig(lam=0, c3=0.0)
-    with pytest.raises(DomainError):
-        BoundConfig(lam=0, b_policy="maximize")
 
 
 def test_b_floor_rises_with_lam():

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -196,6 +197,40 @@ def test_theta_across_sieve_segments(cache_main):
             assert cache_main.theta(x) == pytest.approx(want, rel=1e-13), x
 
 
+def test_pi_many_across_sieve_segments(cache_main):
+    # the index is derived from the whole bitmap at once; check it at every
+    # segment edge against the primes read straight from the bitmap
+    limit = cache_main.limit
+    primes = cache_main.primes_in(2, limit)
+    edges = np.arange(0, limit + 1, 2**21)
+    xs = np.concatenate([edges + d for d in range(-2, 3)] + [[limit]])
+    xs = xs[(xs >= 0) & (xs <= limit)]
+    want = np.searchsorted(primes, xs, side="right")
+    assert np.array_equal(cache_main.pi_many(xs), want)
+
+
+@pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1])
+def test_ceiling_at_a_segment_edge(limit):
+    # 2^21 integers are one sieve segment; the top block past it must count
+    cache = build_cache(limit)
+    n = int(sympy.primepi(limit))
+    assert cache.prime_count() == cache.pi(limit) == n
+    assert cache.nth_prime(n) == sympy.prevprime(limit + 1)
+    assert cache.theta(limit) == pytest.approx(cache.theta(limit - 1) + (
+        math.log(limit) if sympy.isprime(limit) else 0.0), rel=1e-15)
+
+
+def test_theta_is_derived_on_first_use(tmp_path):
+    built = build_cache(3 * 2**20)
+    built.save(tmp_path / "cache.bin")
+    loaded = load_cache(tmp_path / "cache.bin")
+    for cache in (built, loaded):
+        assert "_theta" not in vars(cache)
+        cache.theta(2**20 + 1)
+        assert "_theta" in vars(cache)
+    assert np.array_equal(loaded._theta, built._theta)
+
+
 @pytest.mark.parametrize("limit", INDEX_LIMITS)
 def test_rebuilt_cache_has_identical_index(tmp_path, limit):
     built = _shared(limit)
@@ -295,6 +330,10 @@ def test_load_rejects_foreign_file(tmp_path, cache_small):
     header = primes_mod._HEADER.size
     flipped = bytearray(data)
     flipped[header + 100] ^= 0x10
+    # a bit past the ceiling under a valid checksum
+    past = bytearray(data)
+    past[-1] |= 0x80
+    past[:header] = primes_mod._HEADER.pack(b"PSTC", 2, 2_000, zlib.crc32(past[header:]))
     primes = cache_small.primes_in(2, 2_000)
     v1 = struct.pack("<4sIQ", b"PSTC", 1, primes.size) + primes.astype("<u8").tobytes()
     cases = {
@@ -304,6 +343,7 @@ def test_load_rejects_foreign_file(tmp_path, cache_small):
         "truncated": (data[:-1], "-byte bitmap, file holds"),
         "padded": (data + b"\0", "-byte bitmap, file holds"),
         "v1": (v1, "unsupported cache version 1"),
+        "past ceiling": (bytes(past), "bits set past the ceiling"),
     }
     for name, (content, message) in cases.items():
         path = tmp_path / f"{name}.bin"
