@@ -30,6 +30,12 @@ from .errors import DomainError, SieveBudgetError
 from .primes import PrimeCache, simple_sieve
 
 
+# Draws per window in each round of the census filter; a round passes on
+# only the moduli it could not refute.
+_CENSUS_WIDTHS = (4, 16, 96)
+_CENSUS_CHUNK = 1 << 14  # moduli per filter block, bounding its arrays
+
+
 @dataclass(frozen=True)
 class PStarParams:
     k: int
@@ -201,19 +207,24 @@ def totient_table(n: int) -> np.ndarray:
     return phi
 
 
-def classical_census(cache: PrimeCache, k_max: int) -> list[int]:
-    """All classical P-integers with 2 <= k <= k_max, by exhaustive scan.
+def _windows_refute(primes: np.ndarray, prime_flags: np.ndarray, ks: np.ndarray,
+                    starts: np.ndarray, ends: np.ndarray, width: int) -> np.ndarray:
+    """Per row: do the first ``width`` draws of primes[starts[:, j]:ends[:, j]],
+    j = 0, 1, hold a residue mod k that is a small prime or that repeats?"""
+    idx = (starts[:, :, None] + np.arange(width)).reshape(ks.size, 2 * width)
+    valid = idx < np.repeat(ends, width, axis=1)
+    r = primes[np.minimum(idx, primes.size - 1)] % ks[:, None]
+    small = np.any(prime_flags[r] & valid, axis=1)
+    # Clipped slots get distinct negative fillers, so only residues can repeat.
+    r = np.where(valid, r, -1 - np.arange(2 * width))
+    r.sort(axis=1)
+    return small | np.any(r[:, 1:] == r[:, :-1], axis=1)
 
-    Fast filter: primes below k have themselves as residue, so they never
-    collide; the first possible repeat involves a prime above k.  For each
-    k a window of wrapped residues (primes just above k, all within the
-    first phi(k) coprime primes) is checked against a table of small
-    primes and against itself.  A hit refutes k.  The filter window almost
-    always refutes within 256 draws; the few survivors are settled by the
-    exact scalar walk.
-    """
+
+def _census_survivors(cache: PrimeCache, k_max: int) -> np.ndarray:
+    """The moduli 2 <= k <= k_max that the census filter cannot refute."""
     if k_max < 2:
-        return []
+        return np.empty(0, dtype=np.int64)
     phi_tab = totient_table(k_max)
     # p_n < n (log n + log log n) for n >= 6 covers the worst case phi(k)+omega(k)
     n_need = k_max + 16
@@ -224,30 +235,45 @@ def classical_census(cache: PrimeCache, k_max: int) -> list[int]:
             f"census to {k_max} wants ~{n_need} primes, ceiling {cache.limit} is too low")
     prime_flags = np.zeros(k_max + 1, dtype=bool)
     prime_flags[primes[primes <= k_max]] = True
-    ks = np.arange(2, k_max + 1)
-    above_k = np.searchsorted(primes, ks, side="right")
-    above_2k = np.searchsorted(primes, 2 * ks, side="right")
-    hits = []
-    for k in range(2, k_max + 1):
-        # Two windows of wrapped residues: primes just above k (residue
-        # p - k, opposite parity to k) and just above 2k (residue p - 2k,
-        # same parity).  Between them the small-prime table applies to
-        # both parities of k.  Windows are clipped to index < phi(k) so
-        # every sampled draw is one of the first phi coprime primes.
-        phi = int(phi_tab[k])
-        s1, s2 = int(above_k[k - 2]), int(above_2k[k - 2])
-        parts = []
-        for s, width in ((s1, 96), (s2, 96)):
-            e = min(s + width, phi)
-            if s < e:
-                chunk = primes[s:e]
-                parts.append((chunk % k)[k % chunk != 0])
-        if parts:
-            r = np.concatenate(parts) if len(parts) > 1 else parts[0]
-            if np.any(prime_flags[r]):
-                continue  # repeat against a small coprime prime
-            if r.size > 1 and np.any(np.diff(np.sort(r)) == 0):
-                continue  # repeat among the wrapped residues
-        if is_classical_p_integer(cache, k).is_p_integer:
-            hits.append(k)
-    return hits
+    survivors = []
+    for k0 in range(2, k_max + 1, _CENSUS_CHUNK):
+        ks = np.arange(k0, min(k0 + _CENSUS_CHUNK, k_max + 1))
+        phi = phi_tab[ks]
+        above_k = np.searchsorted(primes, ks, side="right")
+        above_2k = np.searchsorted(primes, 2 * ks, side="right")
+        starts = np.stack([above_k, above_2k], axis=1)
+        ends = np.stack([np.minimum(above_2k, phi), phi], axis=1)
+        for width in _CENSUS_WIDTHS:
+            keep = ~_windows_refute(primes, prime_flags, ks, starts, ends, width)
+            ks, starts, ends = ks[keep], starts[keep], ends[keep]
+        survivors.append(ks)
+    return np.concatenate(survivors)
+
+
+def classical_census(cache: PrimeCache, k_max: int) -> list[int]:
+    """All classical P-integers with 2 <= k <= k_max, by exhaustive scan.
+
+    A filter over all moduli at once refutes almost every k; the few
+    survivors (17 up to 10^6) are settled by the exact walk
+    ``is_classical_p_integer``.  Primes below k are their own residues, so
+    they never collide and the first possible repeat involves a prime
+    above k.  Each k gets two windows of primes: those just above k and
+    those just above 2k, the first stopping where the second starts so
+    that no prime is drawn twice.  Both are clipped to index < phi(k).  A
+    residue p mod k in a window refutes k when it is a small prime or when
+    it repeats another residue of the windows.
+
+    The filter only refutes, on two facts.  A prime of window index
+    i < phi(k) is at most the (i+1)-th prime not dividing k, so it is one
+    of the first phi(k) of them, and two of them in one class refute k.
+    And p mod k shares no factor with k, so a prime residue q < k is
+    itself a prime not dividing k, smaller than p and in the same class.
+
+    The filter runs in rounds of 4, 16 and 96 draws per window; each round
+    sees only the moduli the one before could not refute.  A repeat in a
+    narrower window is a repeat in the 96-wide one, so the rounds leave
+    exactly the moduli the 96-wide windows cannot refute.  Moduli go
+    through in blocks of ``_CENSUS_CHUNK`` to bound the arrays.
+    """
+    return [k for k in _census_survivors(cache, k_max).tolist()
+            if is_classical_p_integer(cache, k).is_p_integer]

@@ -199,6 +199,11 @@ class PrimeCache:
             with open(fd, "wb") as fh:
                 fh.write(header)
                 fh.write(self._packed)
+            # mkstemp makes the file 0600; give it the mode open(path, "wb")
+            # would.  The umask can only be read by setting it.
+            umask = os.umask(0o022)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -272,9 +277,13 @@ class PrimeCache:
             return np.empty(0, dtype=np.int64)
         lo_byte = idx_lo // 8
         hi_byte = idx_hi // 8 + 1
-        window = np.unpackbits(self._packed[lo_byte:hi_byte], bitorder="little")
+        window = np.unpackbits(self._packed[lo_byte:hi_byte], bitorder="little").view(bool)
         window = window[idx_lo - 8 * lo_byte : idx_lo - 8 * lo_byte + (idx_hi - idx_lo + 1)]
-        return (2 * (np.flatnonzero(window) + idx_lo) + 1).astype(np.int64)
+        values = np.flatnonzero(window).astype(np.int64, copy=False)
+        values += idx_lo  # in place: no temporaries the size of the output
+        values *= 2
+        values += 1
+        return values
 
     def theta(self, x: float) -> float:
         """Chebyshev theta: sum of log p over primes p <= x."""

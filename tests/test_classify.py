@@ -1,5 +1,7 @@
 """Classifier tests: hand tallies, the classical census, and invariants."""
 
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -10,6 +12,7 @@ from pstar.classify import (
     BalanceCheck,
     ClassicalCheck,
     PStarParams,
+    _census_survivors,
     balance_condition,
     classical_census,
     classical_params,
@@ -268,6 +271,61 @@ def test_census_to_100(cache_main):
 def test_census_tiny_ranges(cache_small):
     assert classical_census(cache_small, 1) == []
     assert classical_census(cache_small, 2) == [2]
+
+
+def test_census_to_a_million(cache_main):
+    assert classical_census(cache_main, 1_000_000) == CLASSICAL_P_INTEGERS
+
+
+def test_census_wants_primes_past_the_ceiling(cache_small):
+    with pytest.raises(SieveBudgetError):
+        classical_census(cache_small, 1_000)
+
+
+def _loop_filter_survivors(cache, k_max):
+    """The census filter as a loop over k: the moduli it cannot refute."""
+    phi_tab = totient_table(k_max)
+    n_need = k_max + 16
+    bound = int(n_need * (math.log(n_need) + math.log(math.log(n_need)))) + 10
+    primes = cache.primes_in(2, min(bound, cache.limit))
+    prime_flags = np.zeros(k_max + 1, dtype=bool)
+    prime_flags[primes[primes <= k_max]] = True
+    ks = np.arange(2, k_max + 1)
+    above_k = np.searchsorted(primes, ks, side="right")
+    above_2k = np.searchsorted(primes, 2 * ks, side="right")
+    survivors = []
+    for k in range(2, k_max + 1):
+        # Two windows of wrapped residues, primes just above k and just
+        # above 2k, clipped to index < phi(k).
+        phi = int(phi_tab[k])
+        s1, s2 = int(above_k[k - 2]), int(above_2k[k - 2])
+        parts = []
+        for s, width in ((s1, 96), (s2, 96)):
+            e = min(s + width, phi)
+            if s < e:
+                chunk = primes[s:e]
+                parts.append((chunk % k)[k % chunk != 0])
+        if parts:
+            r = np.concatenate(parts) if len(parts) > 1 else parts[0]
+            if np.any(prime_flags[r]):
+                continue  # repeat against a small coprime prime
+            if r.size > 1 and np.any(np.diff(np.sort(r)) == 0):
+                continue  # repeat among the wrapped residues
+        survivors.append(k)
+    return survivors
+
+
+def test_census_filter_matches_the_loop(cache_main):
+    survivors = _census_survivors(cache_main, 100_000).tolist()
+    assert survivors == _loop_filter_survivors(cache_main, 100_000)
+    assert len(survivors) == 17
+
+
+def test_census_filter_only_refutes(cache_main):
+    refuted = set(range(2, 3001)) - set(_census_survivors(cache_main, 3000).tolist())
+    assert len(refuted) > 2900
+    for k in sorted(refuted):
+        assert not is_classical_p_integer(cache_main, k).is_p_integer, k
 
 
 def test_search_with_classical_rule(cache_small):

@@ -1,6 +1,8 @@
 """Prime cache tests against an independent oracle (sympy) and known values."""
 
 import math
+import os
+import stat
 import struct
 import zlib
 
@@ -321,6 +323,20 @@ def test_save_replaces_file_atomically(tmp_path, monkeypatch, cache_small):
     monkeypatch.undo()
     assert [p.name for p in tmp_path.iterdir()] == ["cache.bin"]
     assert load_cache(path).limit == 2_000
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_save_gives_the_mode_of_a_plain_open(tmp_path, cache_small, umask):
+    path, plain = tmp_path / "cache.bin", tmp_path / "plain.bin"
+    old = os.umask(umask)
+    try:
+        cache_small.save(path)
+        with open(plain, "wb"):
+            pass
+    finally:
+        assert os.umask(old) == umask  # save left the umask as it found it
+    assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
 
 
 def test_load_rejects_foreign_file(tmp_path, cache_small):
