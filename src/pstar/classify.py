@@ -200,10 +200,25 @@ def search(cache: PrimeCache, k_values: Iterable[int],
 
 
 def totient_table(n: int) -> np.ndarray:
-    """phi(0..n) by the sieve of multiplicative corrections."""
+    """phi(0..n) by the sieve of multiplicative corrections.
+
+    Each prime p replaces phi[m] by phi[m] - phi[m] // p on its multiples m;
+    the division is exact whatever order the primes come in.  Primes up to
+    sqrt(n) update a slice each.  The larger ones are grouped by n // p and
+    each group is one fancy-indexed update over p * (1..n // p): such a p
+    has fewer than p multiples up to n, so two primes of a group share none.
+    """
     phi = np.arange(n + 1, dtype=np.int64)
-    for p in simple_sieve(n).tolist():
+    primes = simple_sieve(n)
+    split = np.searchsorted(primes, math.isqrt(n), side="right")
+    for p in primes[:split].tolist():
         phi[p::p] -= phi[p::p] // p
+    large = primes[split:]
+    runs = np.flatnonzero(np.diff(n // large)) + 1
+    for group in np.split(large, runs):
+        if group.size:
+            idx = group[:, None] * np.arange(1, n // int(group[0]) + 1)
+            phi[idx] -= phi[idx] // group[:, None]
     return phi
 
 

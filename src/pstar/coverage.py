@@ -8,9 +8,20 @@ sums over classes.  This module measures that failure probability by
 simulation, computes it exactly by inclusion-exclusion when phi is small,
 and exposes the interval-length estimate the heuristic implies.
 
-Trials are seeded individually as (seed, trial-index), so results do not
-depend on execution order or worker count; the generator algorithm is
-recorded in every result for reproducibility.
+A synthetic trial is not simulated draw by draw.  It fails exactly when the
+number of draws needed to cover all phi classes exceeds n, and that
+covering time is a sum of independent geometric variables: once i classes
+are hit, the next new class takes a geometric number of draws with success
+probability (phi - i) / phi, i = 0..phi-1 (the coupon collector; Erdos and
+Renyi 1961).  So one row of phi geometric variates per trial has exactly
+the distribution of the uniform-draw experiment; the only rounding is in
+the float success probabilities and the inversion inside
+``Generator.geometric``.
+
+Trials run in chunks of max(1, CHUNK_ELEMS // phi) rows, and chunk c is
+seeded as (seed, c), so results depend only on (k, C, trials, seed), not on
+execution order; the generator and sampler are recorded in every result
+(``GENERATOR_ID``) for reproducibility.
 
 The "real-primes" mode replays the same coverage question against the
 actual first n primes coprime to k instead of synthetic draws, read as one
@@ -40,7 +51,10 @@ __all__ = [
     "simulate_coverage",
 ]
 
-GENERATOR_ID = "numpy-PCG64"
+GENERATOR_ID = "numpy-PCG64/coupon-collector"
+
+# Geometric variates per chunk of synthetic trials (int64, so about 1 MB).
+CHUNK_ELEMS = 1 << 17
 
 MODES = ("synthetic", "real-primes")
 
@@ -137,7 +151,8 @@ def simulate_coverage(
 ) -> SimResult:
     """Measured probability that some invertible class stays empty.
 
-    Synthetic mode draws class indices uniformly; real-primes mode reduces
+    Synthetic mode samples the covering time of uniform draws (see the
+    module docstring) and compares it with `draws`; real-primes mode reduces
     the first `draws` primes coprime to k (needs a cache large enough to
     supply them).  Returns the failure fraction with its binomial standard
     error and the first-order prediction.
@@ -153,12 +168,13 @@ def simulate_coverage(
         # phi >= 2 for k >= 3, so with no draws every trial leaves a class empty
         return SimResult(cfg, phi, draws, 1.0, 0.0, predicted)
 
+    p = (phi - np.arange(phi)) / phi  # success rate of the (i+1)-th new class
+    rows = max(1, CHUNK_ELEMS // phi)
     failures = 0
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng((cfg.seed, trial))
-        hits = np.bincount(rng.integers(0, phi, size=draws), minlength=phi)
-        if int(hits.min()) == 0:
-            failures += 1
+    for chunk, start in enumerate(range(0, cfg.trials, rows)):
+        rng = np.random.default_rng((cfg.seed, chunk))
+        cover = rng.geometric(p, size=(min(rows, cfg.trials - start), phi)).sum(axis=1)
+        failures += int(np.count_nonzero(cover > draws))
     empirical = failures / cfg.trials
     stderr = math.sqrt(empirical * (1.0 - empirical) / cfg.trials)
     return SimResult(cfg, phi, draws, empirical, stderr, predicted)

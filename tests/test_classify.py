@@ -26,7 +26,7 @@ from pstar.classify import (
     totient_table,
 )
 from pstar.errors import DomainError, SieveBudgetError
-from pstar.primes import build_cache
+from pstar.primes import build_cache, simple_sieve
 
 CLASSICAL_P_INTEGERS = [2, 4, 6, 12, 18, 30]
 
@@ -358,3 +358,19 @@ def test_totient_table_matches_sympy():
     table = totient_table(500)
     for k in (1, 2, 12, 30, 97, 360, 499, 500):
         assert table[k] == sympy.totient(k)
+
+
+def _loop_totient_table(n):
+    """One slice update per prime: the plain sieve of multiplicative corrections."""
+    phi = np.arange(n + 1, dtype=np.int64)
+    for p in simple_sieve(n).tolist():
+        phi[p::p] -= phi[p::p] // p
+    return phi
+
+
+def test_totient_table_matches_the_loop():
+    # every small n, and n on both sides of perfect squares, where the split
+    # between slice updates and grouped updates moves
+    for n in (*range(0, 130), 99**2 - 1, 99**2, 99**2 + 1, 316**2, 317**2 - 1,
+              100_000):
+        assert np.array_equal(totient_table(n), _loop_totient_table(n)), n

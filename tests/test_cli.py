@@ -236,7 +236,7 @@ def test_simulate_real_primes(capsys):
     rec = results[0]
     assert rec["f"] == 13_944
     assert rec["empirical"] == 0.0
-    assert rec["generator"] == "numpy-PCG64"
+    assert rec["generator"] == "numpy-PCG64/coupon-collector"
 
 
 # -- semigroup --------------------------------------------------------------------

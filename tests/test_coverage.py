@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pstar.coverage import (
+    CHUNK_ELEMS,
     GENERATOR_ID,
     SimConfig,
     beta_estimate,
@@ -18,6 +19,17 @@ from pstar.coverage import (
     simulate_coverage,
 )
 from pstar.errors import DomainError
+from pstar.primes import arithmetic_profile
+
+
+def _loop_failure_rate(phi, draws, trials, seed):
+    """Draw-by-draw reference: `draws` uniform classes per trial, seeded per trial."""
+    failures = 0
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        hits = np.bincount(rng.integers(0, phi, size=draws), minlength=phi)
+        failures += int(hits.min()) == 0
+    return failures / trials
 
 
 def test_draw_count_formula():
@@ -70,12 +82,36 @@ def test_simulation_is_reproducible():
 
 
 def test_simulation_matches_exact_oracle():
-    for k in (7, 25):
+    for k in (7, 25, 101):
         cfg = SimConfig(k=k, coverage_exponent=1.0, trials=10_000, seed=7)
         res = simulate_coverage(cfg)
         exact = exact_failure_probability(res.phi, res.draws)
+        assert 0.0 < exact < 1.0, k
         se = max(res.stderr, math.sqrt(exact * (1.0 - exact) / cfg.trials))
         assert abs(res.empirical - exact) <= 3.0 * se, k
+        # the draw-by-draw loop answers the same question
+        loop_trials = 4_000
+        loop = _loop_failure_rate(res.phi, res.draws, loop_trials, seed=7)
+        assert abs(loop - exact) <= 3.0 * math.sqrt(exact * (1.0 - exact) / loop_trials), k
+
+
+def _failures(k, trials, seed=3):
+    res = simulate_coverage(SimConfig(k=k, coverage_exponent=1.0, trials=trials,
+                                      seed=seed))
+    assert simulate_coverage(res.config) == res
+    return round(res.empirical * trials)
+
+
+@pytest.mark.parametrize("k", [1_009, 131_101])  # 131101: the least prime above 2**17
+def test_chunk_boundaries(k):
+    rows = max(1, CHUNK_ELEMS // arithmetic_profile(k).phi)
+    assert (rows == 1) == (k > CHUNK_ELEMS)
+    # Chunk c is seeded (seed, c) and fills its rows in order, so one more
+    # trial keeps every earlier outcome and adds at most one failure.
+    sizes = [rows - 1, rows, rows + 1] if rows > 1 else [1, 2, 3]
+    counts = [_failures(k, n) for n in sizes]
+    assert counts[0] <= counts[1] <= counts[0] + 1
+    assert counts[1] <= counts[2] <= counts[1] + 1
 
 
 def test_zero_draws_always_fail():
@@ -139,7 +175,7 @@ def test_config_validation():
 def test_result_json_shape():
     cfg = SimConfig(k=11, coverage_exponent=1.0, trials=100, seed=5)
     payload = simulate_coverage(cfg).to_json()
-    assert payload["generator"] == GENERATOR_ID == "numpy-PCG64"
+    assert payload["generator"] == GENERATOR_ID == "numpy-PCG64/coupon-collector"
     assert payload["k"] == 11
     assert payload["trials"] == 100
     assert set(payload) >= {"k", "C", "f", "trials", "empirical", "stderr",
