@@ -268,9 +268,11 @@ def block_counts(cache: PrimeCache, decomp: IntervalDecomposition) -> BlockCount
 
 def block_rows(cache: PrimeCache, decomp: IntervalDecomposition) -> list[dict]:
     """Per-block rows (j, first, second, excess) for tabular output."""
-    counts = block_counts(cache, decomp)
-    rows = []
-    for j in decomp.inner_blocks:
-        e1, e2 = counts.inner_first[j], counts.inner_second[j]
-        rows.append({"block": j, "first": e1, "second": e2, "excess": e1 - e2})
+    rows: list[dict] = []
+    j0 = decomp.inner_blocks.start
+    for first, second in _inner_halves(cache, decomp.k, decomp.inner_blocks):
+        rows += [{"block": j, "first": f, "second": s, "excess": f - s}
+                 for j, f, s in zip(range(j0, j0 + first.size), first.tolist(),
+                                    second.tolist())]
+        j0 += first.size
     return rows

@@ -27,7 +27,7 @@ import numpy as np
 
 from .blocks import half_counts_direct
 from .errors import DomainError, SieveBudgetError
-from .primes import PrimeCache, simple_sieve
+from .primes import PrimeCache, arithmetic_profile, simple_sieve
 
 
 # Draws per window in each round of the census filter; a round passes on
@@ -84,30 +84,36 @@ class ClassicalCheck(NamedTuple):
 
 
 def invertible_residues(k: int) -> np.ndarray:
+    """Residues 0 <= r < k prime to k, ascending: the multiples of each prime
+    divisor of k are struck out."""
     if k < 2:
         raise DomainError(f"modulus must be >= 2, got k={k}")
-    r = np.arange(k)
-    return np.flatnonzero(np.gcd(r, k) == 1)
+    coprime = np.ones(k, dtype=bool)
+    for q in arithmetic_profile(k).prime_divisors:
+        coprime[::q] = False
+    return np.flatnonzero(coprime)
 
 
 def residue_tally(cache: PrimeCache, k: int, alpha: int, beta: int) -> ResidueTally:
     """Per-class prime counts over [alpha, beta]: counts[r] = #{p = r mod k}."""
-    if k < 2:
-        raise DomainError(f"modulus must be >= 2, got k={k}")
+    return _tally(cache, invertible_residues(k), k, alpha, beta)
+
+
+def _tally(cache: PrimeCache, inv: np.ndarray, k: int, alpha: int,
+           beta: int) -> ResidueTally:
+    """:func:`residue_tally` given the invertible residues ``inv`` of k."""
     if not (1 <= alpha <= beta):
         raise DomainError(f"need 1 <= alpha <= beta, got [{alpha}, {beta}]")
     primes = cache.primes_in(alpha, beta)
     counts = np.bincount(primes % k, minlength=k).astype(np.int64)
-    inv = invertible_residues(k)
     return ResidueTally(k, counts, int(counts.sum()), int(counts[inv].min()))
 
 
 def is_pstar(cache: PrimeCache, params: PStarParams) -> PStarVerdict:
-    tally = residue_tally(cache, params.k, params.alpha, params.beta)
-    phi = cache.profile(params.k).phi
-    inv = invertible_residues(params.k)
+    inv = invertible_residues(params.k)  # phi(k) of them
+    tally = _tally(cache, inv, params.k, params.alpha, params.beta)
     deficits = tuple(inv[tally.counts[inv] < params.gamma].tolist())
-    mismatch = tally.total - (params.gamma * phi + params.iota)
+    mismatch = tally.total - (params.gamma * inv.size + params.iota)
     return PStarVerdict(not deficits and mismatch == 0, tally, deficits, mismatch)
 
 
@@ -254,8 +260,9 @@ def _census_survivors(cache: PrimeCache, k_max: int) -> np.ndarray:
     for k0 in range(2, k_max + 1, _CENSUS_CHUNK):
         ks = np.arange(k0, min(k0 + _CENSUS_CHUNK, k_max + 1))
         phi = phi_tab[ks]
-        above_k = np.searchsorted(primes, ks, side="right")
-        above_2k = np.searchsorted(primes, 2 * ks, side="right")
+        # primes starts at 2, so pi(x) is the index of the first prime above x
+        above_k = cache.pi_many(ks)
+        above_2k = cache.pi_many(2 * ks)
         starts = np.stack([above_k, above_2k], axis=1)
         ends = np.stack([np.minimum(above_2k, phi), phi], axis=1)
         for width in _CENSUS_WIDTHS:

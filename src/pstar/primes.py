@@ -1,34 +1,34 @@
-"""Segmented odd-only prime sieve with packed storage and a rank/select index.
+"""Segmented odd-only prime sieve with packed storage and a rank directory.
 
 The cache sieves once up to a fixed ceiling and then answers pi(x),
 theta(x) = sum of log p over primes p <= x, n-th prime, and interval
 queries.  Storage is a bit per odd number (np.packbits, little bit order),
 so a ceiling of 10^9 costs about 62 MB.
 
-A block index over the bitmap makes rank queries independent of the
-ceiling.  It is the rank9 directory of Vigna, "Broadword implementation
-of rank/select queries" (2008), after Jacobson (1989): for every 512-bit
-block it holds the number of set bits before the block, the counts before
-each of the block's 8 words (seven 9-bit fields in one 64-bit word) and
-the sum of the logs of the primes before the block.  Per query:
+A rank directory makes rank queries independent of the ceiling: for every
+64-bit word it holds the number of set bits before the word, and for every
+512-bit block the sum of the logs of the primes before the block.  Per query:
 
-* ``pi`` and ``pi_many``: two lookups and one 64-bit popcount per point;
-* ``nth_prime``: a binary search over the block counts plus the unpacking
-  of one 64-byte block;
+* ``pi`` and ``pi_many``: one lookup and one 64-bit popcount per point;
+* ``nth_prime``: a binary search over the word counts plus the unpacking
+  of one 64-bit word;
 * ``theta``: one lookup plus the logs of the primes among at most 512 bits.
 
-The index takes 24 bytes per 1024 integers, 3/8 of the bitmap: about
-2.3 MB at a ceiling of 10^8 and 23 MB at 10^9.
+The word counts are uint32 (uint64 from a ceiling of 2^33 on), 4 bytes per
+128 integers, and the theta checkpoints 8 bytes per 1024; with both the
+index is 5/8 of the bitmap: 3.1 MB of word counts and 0.8 MB of
+checkpoints beside a 6.25 MB bitmap at 10^8, 31 MB and 7.8 MB at 10^9.
 
 ``PrimeCache(limit, packed)`` is the one constructor: ``build`` sieves
 into a zeroed bitmap, ``load`` passes the bytes it has checked and
-``from_primes`` sets bits in a zeroed bitmap.  It derives the block counts
-from the popcounts of the bitmap's 64-bit words, vectorised over all blocks.  The theta checkpoints
-take a ``log`` of every prime, so they are made on the first ``theta``
-call, accumulated with Kahan compensation across chunks so that the
-running sum stays well below 1e-9 relative error at a 10^9 ceiling.  The
-cache is immutable; concurrent readers are safe, except that two threads
-making the first ``theta`` call at once may both compute the checkpoints.
+``from_primes`` sets bits in a zeroed bitmap.  It derives the word counts
+from one cumulative sum of the popcounts of the bitmap's 64-bit words.  The
+theta checkpoints take a ``log`` of every prime, so they are made on the
+first ``theta`` call, accumulated with Kahan compensation across chunks so
+that the running sum stays well below 1e-9 relative error at a 10^9
+ceiling.  The cache is immutable; concurrent readers are safe, except that
+two threads making the first ``theta`` call at once may both compute the
+checkpoints.
 
 A cache file (format version 2) holds a 20-byte little-endian header --
 magic ``PSTC``, u32 version, u64 build ceiling, u32 CRC-32 of the bitmap --
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import CacheFormatError, DomainError, SieveBudgetError
 
 DEFAULT_SEGMENT_ODDS = 1 << 20  # odd numbers sieved per segment, whole blocks
-_BLOCK_BITS = 512  # index granularity: 8 64-bit words per checkpoint
+_BLOCK_BITS = 512  # theta checkpoint granularity: 8 64-bit words
 _LOW_MASKS = (np.uint64(1) << np.arange(64, dtype=np.uint64)) - np.uint64(1)
 
 _MAGIC = b"PSTC"
@@ -75,6 +75,12 @@ class ArithmeticProfile:
 def _bitmap_bytes(limit: int) -> int:
     """Whole 512-bit blocks over the odd numbers <= limit, and one more."""
     return (((limit - 1) // 2 + 1) // _BLOCK_BITS + 1) * _BLOCK_BITS // 8
+
+
+def _rank_dtype(limit: int) -> type:
+    """uint32 while every rank fits: ranks count odd numbers 3..limit, fewer
+    than 2^32 below 2^33; uint64 from there on."""
+    return np.uint32 if limit < 1 << 33 else np.uint64
 
 
 def simple_sieve(limit: int) -> np.ndarray:
@@ -98,26 +104,17 @@ class PrimeCache:
         self.limit = limit
         self._packed = packed
         self._words = packed.view("<u8")
-        # rank and sub are allocated before the temporaries: after them, they
-        # left a long-running process with more of its heap resident.
-        n_blocks = len(self._words) // 8
-        self._rank = np.zeros(n_blocks + 1, dtype=np.int64)  # rank[b]: bits set before bit 512 b
-        # sub[b]: the counts before words 1..7 of block b in 9-bit fields (at
-        # most 448 < 2^9 each), so the seven fields fit the 63 low bits.
-        self._sub = np.zeros(n_blocks, dtype=np.int64)
-        per_word = np.bitwise_count(self._words).reshape(-1, 8)
-        within = np.zeros(n_blocks, dtype=np.uint16)  # bits of block b so far, <= 512
-        for j in range(7):
-            within += per_word[:, j]
-            self._sub |= within.astype(np.int64) << (9 * j)
-        within += per_word[:, 7]
-        np.cumsum(within, dtype=np.int64, out=self._rank[1:])
+        # rank[w]: the bits set before word w.  The popcounts are summed in
+        # place: a cumsum with a dtype holds two more arrays of that length.
+        self._rank = np.zeros(len(self._words) + 1, dtype=_rank_dtype(limit))
+        np.bitwise_count(self._words, out=self._rank[1:])
+        np.cumsum(self._rank[1:], out=self._rank[1:])
 
     @functools.cached_property
     def _theta(self) -> np.ndarray:
-        """theta[b]: sum of log(2i + 1) over rank[b]'s bits, made on first use
-        from chunks of DEFAULT_SEGMENT_ODDS bits."""
-        n_blocks = len(self._sub)
+        """theta[b]: sum of log(2i + 1) over the bits before bit 512 b, made on
+        first use from chunks of DEFAULT_SEGMENT_ODDS bits."""
+        n_blocks = len(self._words) // 8
         chunk = DEFAULT_SEGMENT_ODDS // _BLOCK_BITS
         theta = np.zeros(n_blocks + 1, dtype=np.float64)
         theta_sum = 0.0
@@ -126,7 +123,9 @@ class PrimeCache:
             b1 = min(b0 + chunk, n_blocks)
             bits = np.unpackbits(self._packed[b0 * 64 : b1 * 64], bitorder="little").view(bool)
             logs = np.log(2.0 * np.flatnonzero(bits) + (2 * b0 * _BLOCK_BITS + 1))
-            edges = self._rank[b0 : b1 + 1] - self._rank[b0]  # chunk bits before each block
+            # chunk bits before each block, as int64: reduceat takes no uint64
+            edges = self._rank[8 * b0 : 8 * b1 + 1 : 8].astype(np.int64)
+            edges -= edges[0]
             # reduceat gives an empty slice its first element, not 0, so
             # only the nonempty blocks are summed.
             nonempty = edges[1:] > edges[:-1]
@@ -262,14 +261,11 @@ class PrimeCache:
             self._check_budget(int(m.max()))
         # odd numbers <= m are the bits with index < stop
         stop = (np.maximum(m, 1) + 1) >> 1
-        b = stop >> 9
         w = stop >> 6
-        # Field q - 1 of sub[b] counts the bits before word q of the block;
-        # q = 0 shifts to bit 63, which is always clear.
-        before = (self._sub[b] >> (((w + 7) & 7) * 9)) & 511
-        last = np.bitwise_count(self._words[w] & _LOW_MASKS[stop & 63])
-        out = self._rank[b] + before + last
-        return np.where(m >= 2, out + 1, 0)  # + 1 for the prime 2
+        out = np.add(self._rank[w], np.bitwise_count(self._words[w] & _LOW_MASKS[stop & 63]),
+                     dtype=np.int64)
+        out += m >= 2  # the prime 2; below 2 both terms are 0
+        return out
 
     def _odd_values_between(self, idx_lo: int, idx_hi: int) -> np.ndarray:
         """Values 2i+1 of set bits with idx_lo <= i <= idx_hi."""
@@ -339,9 +335,10 @@ class PrimeCache:
         if n > self.prime_count():
             raise SieveBudgetError(
                 f"cache holds {self.prime_count()} primes, cannot answer nth_prime({n})")
-        b = int(np.searchsorted(self._rank, k, side="left")) - 1
-        vals = self._odd_values_between(b * _BLOCK_BITS, (b + 1) * _BLOCK_BITS - 1)
-        return int(vals[k - int(self._rank[b]) - 1])
+        # k as the directory's dtype: a Python int would cast the whole array
+        w = int(np.searchsorted(self._rank, self._rank.dtype.type(k), side="left")) - 1
+        vals = self._odd_values_between(64 * w, 64 * w + 63)
+        return int(vals[k - int(self._rank[w]) - 1])
 
     def prime_count(self) -> int:
         """Total primes below the ceiling (pi(limit))."""

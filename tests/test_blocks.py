@@ -209,6 +209,28 @@ def test_block_counts_assembly(cache_small):
     assert [r["block"] for r in rows] == [3, 4]
 
 
+def _rows_oracle(cache, d, js):
+    """Rows of the blocks js, one half_block_count per half."""
+    rows = []
+    for j in js:
+        f, s = (half_block_count(cache, d.k, j, half) for half in (1, 2))
+        rows.append({"block": j, "first": f, "second": s, "excess": f - s})
+    return rows
+
+
+def test_block_rows_match_half_block_counts(cache_small, cache_main):
+    for k, alpha, beta in ((10, 23, 58), (7, 1, 2_000), (2, 3, 1_999), (97, 150, 1_990),
+                           (10, 1, 10)):
+        d = classify_case(k, alpha, beta)
+        assert block_rows(cache_small, d) == _rows_oracle(cache_small, d, d.inner_blocks)
+    # more than one pi_many chunk: check the blocks around the chunk edge
+    d = classify_case(2, 1, 2**17 + 3)
+    rows = block_rows(cache_main, d)
+    assert [r["block"] for r in rows] == list(d.inner_blocks)
+    for lo in (0, 2**16 - 3, len(rows) - 3):
+        assert rows[lo : lo + 6] == _rows_oracle(cache_main, d, d.inner_blocks[lo : lo + 6])
+
+
 def test_formula_across_pi_many_chunks(cache_main):
     # one chunk of exactly 2^16 inner blocks, then several chunks
     for k, alpha, beta in ((2, 1, 2**17 + 3), (199, 5, 15_000_000),

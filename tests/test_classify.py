@@ -77,6 +77,19 @@ def test_invertible_residues():
     assert invertible_residues(7).tolist() == [1, 2, 3, 4, 5, 6]
 
 
+def _gcd_residues(k):
+    """The definition: residues r < k with gcd(r, k) = 1."""
+    return np.flatnonzero(np.gcd(np.arange(k), k) == 1)
+
+
+def test_invertible_residues_match_the_gcd_definition():
+    # 30030 = 2 3 5 7 11 13; 999_983 is the largest prime below 10^6
+    for k in (*range(2, 3001), 30_030, 999_983):
+        assert np.array_equal(invertible_residues(k), _gcd_residues(k)), k
+    with pytest.raises(DomainError):
+        invertible_residues(1)
+
+
 # -- P* verdicts -----------------------------------------------------------
 
 def test_pstar_positive_example(cache_small):
@@ -167,20 +180,16 @@ def test_repeat_decides_before_the_ceiling(cache_small):
 
 # -- reference oracles: scalar walks over an ascending prime stream --------
 
-def _stream(cache, k):
-    """All primes in ascending order, then a budget error."""
-    lo, hi = 2, min(cache.limit, max(1024, 8 * k))
-    while True:
-        yield from cache.primes_in(lo, hi).tolist()
-        if hi >= cache.limit:
-            raise SieveBudgetError(f"k={k}, ceiling {cache.limit}")
-        lo, hi = hi + 1, min(cache.limit, hi * 4)
+def _stream(primes):
+    """All primes of the cache, ascending, then a budget error."""
+    yield from primes
+    raise SieveBudgetError("past the ceiling")
 
 
-def _classical_walk(cache, k):
+def _classical_walk(primes, k):
     phi = int(sympy.totient(k))
     witness = {}
-    for p in _stream(cache, k):
+    for p in _stream(primes):
         if k % p == 0:
             continue
         r = p % k
@@ -191,10 +200,10 @@ def _classical_walk(cache, k):
             return ClassicalCheck(True, witness)
 
 
-def _block_walk(cache, k):
+def _block_walk(primes, k):
     phi, omega = int(sympy.totient(k)), len(sympy.primefactors(k))
     seen_inv, seen_div = set(), set()
-    for taken, p in enumerate(_stream(cache, k)):
+    for taken, p in enumerate(_stream(primes)):
         if taken == phi + omega:
             break
         seen = seen_div if k % p == 0 else seen_inv
@@ -204,9 +213,9 @@ def _block_walk(cache, k):
     return len(seen_inv) == phi and len(seen_div) == omega
 
 
-def _outcome(check, cache, k):
+def _outcome(check, source, k):
     try:
-        result = check(cache, k)
+        result = check(source, k)
     except SieveBudgetError:
         return "budget"
     if isinstance(result, ClassicalCheck):
@@ -220,11 +229,12 @@ def _outcome(check, cache, k):
 ])
 def test_window_checks_match_the_scalar_walks(fixture, k_values, request):
     cache = request.getfixturevalue(fixture)
+    primes = cache.primes_in(2, cache.limit).tolist()  # read once, walked from the start per k
     for k in k_values:
         assert _outcome(is_classical_p_integer, cache, k) == \
-            _outcome(_classical_walk, cache, k), k
+            _outcome(_classical_walk, primes, k), k
         assert _outcome(is_block_p_integer, cache, k) == \
-            _outcome(_block_walk, cache, k), k
+            _outcome(_block_walk, primes, k), k
 
 
 # -- balance condition -----------------------------------------------------

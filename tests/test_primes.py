@@ -211,6 +211,54 @@ def test_pi_many_across_sieve_segments(cache_main):
     assert np.array_equal(cache_main.pi_many(xs), want)
 
 
+@pytest.mark.parametrize("fixture", ["cache_small", "cache_main"])
+def test_pi_many_matches_a_binary_search(fixture, request):
+    # every 64-bit word edge (128 integers apart, so every 2^21 segment edge
+    # too) and its two neighbours, plus random points on the large cache
+    cache = request.getfixturevalue(fixture)
+    primes = cache.primes_in(2, cache.limit)
+    edges = np.arange(0, cache.limit + 2, 128)
+    xs = (edges[:, None] + np.arange(-1, 2)).ravel()
+    if cache.limit > 10**6:
+        xs = np.concatenate([xs, np.random.default_rng(5).integers(-3, cache.limit + 1, 10**4)])
+    xs = xs[xs <= cache.limit]
+    assert np.array_equal(cache.pi_many(xs), np.searchsorted(primes, xs, side="right"))
+
+
+def test_nth_prime_for_every_n_across_word_and_block_edges(cache_main):
+    # words hold 128 integers and theta blocks 1024; these stretches cross
+    # many of both, the first 2^21 segment edge and the top of the cache
+    primes = cache_main.primes_in(2, cache_main.limit)
+    top = cache_main.prime_count()
+    for lo, hi in ((1, 1_200), (155_500, 156_200), (top - 300, top)):
+        assert [cache_main.nth_prime(n) for n in range(lo, hi + 1)] == \
+            primes[lo - 1 : hi].tolist(), (lo, hi)
+    assert cache_main.pi(2**21) in range(155_500, 156_200)
+
+
+def test_rank_dtype_holds_every_count():
+    # ranks count the odd numbers 3..limit: 2^32 - 1 of them at 2^33 - 1 and
+    # at 2^33, where the rule moves to 64 bits while they still fit
+    assert (2**33 - 1 - 1) // 2 == np.iinfo(np.uint32).max
+    assert primes_mod._rank_dtype(2**33 - 1) is np.uint32
+    assert primes_mod._rank_dtype(2**33) is np.uint64
+    assert _shared(10_000)._rank.dtype == np.uint32
+
+
+@pytest.mark.parametrize("limit", INDEX_LIMITS)
+def test_a_uint64_directory_gives_the_same_answers(monkeypatch, limit):
+    monkeypatch.setattr(primes_mod, "_rank_dtype", lambda _: np.uint64)
+    wide, narrow = build_cache(limit), _shared(limit)
+    assert wide._rank.dtype == np.uint64
+    assert np.array_equal(wide._rank, narrow._rank)
+    xs = _edge_points(limit)
+    assert wide.pi_many(xs).dtype == np.int64
+    assert np.array_equal(wide.pi_many(xs), narrow.pi_many(xs))
+    n = np.arange(1, narrow.prime_count() + 1).tolist()
+    assert [wide.nth_prime(i) for i in n] == [narrow.nth_prime(i) for i in n]
+    assert [wide.theta(x) for x in xs] == [narrow.theta(x) for x in xs]
+
+
 @pytest.mark.parametrize("limit", [2**21 - 1, 2**21, 2**21 + 1])
 def test_ceiling_at_a_segment_edge(limit):
     # 2^21 integers are one sieve segment; the top block past it must count
@@ -239,7 +287,7 @@ def test_rebuilt_cache_has_identical_index(tmp_path, limit):
     built.save(tmp_path / "cache.bin")
     loaded = load_cache(tmp_path / "cache.bin")
     assert loaded.limit == limit
-    for name in ("_packed", "_rank", "_sub", "_theta"):
+    for name in ("_packed", "_rank", "_theta"):
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
     xs = _edge_points(limit)
     assert np.array_equal(loaded.pi_many(xs), built.pi_many(xs))
