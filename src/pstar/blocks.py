@@ -8,12 +8,20 @@ primes as the second half" into a sum of per-block excesses plus two boundary
 corrections M1 (first-half mass of the two partial blocks) and M2
 (second-half mass).
 
-Exactness is the whole point here: every count below is a difference of
-exact prime counts pi(x) read from the cache's rank index, and the identity
+Exactness is the whole point here: every count below is exact, and the
+identity
 
     first_half_count - second_half_count == (M1 - M2) + sum_j excess(j)
 
-holds exactly, not approximately.  The analytic machinery in
+holds exactly, not approximately.  Counts reach the cache by one of two
+routes.  Per-block counts, the boundary terms and the inner blocks of
+:func:`half_counts_formula` from ``_BITMAP_MAX_K`` on are differences of
+pi(x) read from the cache's rank index, two points per block.  Below
+``_BITMAP_MAX_K`` that would read far more than the span holds, so
+:func:`half_counts_formula` counts the inner first halves straight from the
+bitmap with one periodic residue mask (``PrimeCache.count_in_classes``),
+about the cost of reading the span, and takes the second halves as pi over
+the span minus that.  The analytic machinery in
 :mod:`pstar.bounds` lower-bounds the same quantities; this module is the
 oracle it is checked against.
 
@@ -69,6 +77,11 @@ __all__ = [
 
 CASE_LABELS = ("i", "ii", "iii", "iv")
 _CHUNK_BLOCKS = 1 << 16
+# half_counts_formula counts inner blocks from the bitmap below this k: the
+# mask reads every bit of the span, pi two points per block.  On a 1e8 cache
+# the mask wins at every width from 1e5 to 1e6 up to k = 128, ties near 192
+# and loses from 256 on (BENCH_13.json).
+_BITMAP_MAX_K = 128
 
 
 @dataclass(frozen=True)
@@ -205,12 +218,20 @@ def half_counts_formula(
 ) -> tuple[int, int]:
     """Per-half prime counts of [alpha, beta] assembled from block pieces.
 
-    Returns (first_half_count, second_half_count).  Inner blocks are summed
-    from a vectorised pi over their edges and half points; boundary blocks
-    come from :func:`boundary_terms`.
+    Returns (first_half_count, second_half_count).  Boundary blocks come
+    from :func:`boundary_terms`.  Below ``_BITMAP_MAX_K`` the inner blocks'
+    first halves are counted from the bitmap with a periodic residue mask
+    and their second halves are the rest of pi over the span; from it on
+    they are summed from a vectorised pi over their edges and half points.
     """
     a1, a2 = boundary_terms(cache, decomp)
-    for first, second in _inner_halves(cache, decomp.k, decomp.inner_blocks):
+    k, js = decomp.k, decomp.inner_blocks
+    if k < _BITMAP_MAX_K and js:
+        lo, hi = js.start * k, js.stop * k - 1
+        first = cache.count_in_classes(lo, hi, k, 2 * np.arange(k) <= k)
+        below, total = cache.pi_many([lo - 1, hi])
+        return a1 + first, a2 + int(total - below) - first
+    for first, second in _inner_halves(cache, k, js):
         a1 += int(first.sum())
         a2 += int(second.sum())
     return a1, a2

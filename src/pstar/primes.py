@@ -12,7 +12,11 @@ A rank directory makes rank queries independent of the ceiling: for every
 * ``pi`` and ``pi_many``: one lookup and one 64-bit popcount per point;
 * ``nth_prime``: a binary search over the word counts plus the unpacking
   of one 64-bit word;
-* ``theta``: one lookup plus the logs of the primes among at most 512 bits.
+* ``theta``: one lookup plus the logs of the primes among at most 512 bits;
+* ``count_in_classes`` (primes of [lo, hi] in chosen residue classes mod
+  k): one pass over the window's bits, ANDed with a k-periodic mask in
+  chunks of DEFAULT_SEGMENT_ODDS bits, about 0.1-0.3 ms per 10^6 of width
+  at any k.
 
 The word counts are uint32 (uint64 from a ceiling of 2^33 on), 4 bytes per
 128 integers, and the theta checkpoints 8 bytes per 1024; with both the
@@ -212,8 +216,9 @@ class PrimeCache:
     def load(cls, path: str | Path) -> "PrimeCache":
         """Read a file written by ``save``; ``CacheFormatError`` if it is not one.
 
-        The checked bytes become the cache's bitmap as they are; the block
-        index is derived from them as for a sieved cache.
+        The bitmap is read straight into a read-only array of the length the
+        ceiling needs, and once checked it becomes the cache's bitmap; the
+        block index is derived from it as for a sieved cache.
         """
         with open(path, "rb") as fh:
             header = fh.read(_HEADER.size)
@@ -228,13 +233,17 @@ class PrimeCache:
             if limit < 2:
                 raise CacheFormatError(f"cache ceiling {limit} is below 2")
             size = _bitmap_bytes(limit)
-            body = fh.read()
-        if len(body) != size:
+            held = os.fstat(fh.fileno()).st_size - _HEADER.size
+            if held == size:
+                body = np.empty(size, dtype=np.uint8)
+                held = fh.readinto(body)  # fewer if the file shrank meanwhile
+        if held != size:
             raise CacheFormatError(
-                f"ceiling {limit} needs a {size}-byte bitmap, file holds {len(body)}")
+                f"ceiling {limit} needs a {size}-byte bitmap, file holds {held}")
+        body.flags.writeable = False
         if zlib.crc32(body) != crc:
             raise CacheFormatError("bitmap checksum mismatch")
-        cache = cls(limit, np.frombuffer(body, dtype=np.uint8))
+        cache = cls(limit, body)
         if cache.prime_count() != cache.pi(limit):
             raise CacheFormatError(f"bitmap has bits set past the ceiling {limit}")
         return cache
@@ -267,15 +276,18 @@ class PrimeCache:
         out += m >= 2  # the prime 2; below 2 both terms are 0
         return out
 
+    def _bits(self, idx_lo: int, idx_hi: int) -> np.ndarray:
+        """Bits idx_lo..idx_hi (idx_lo <= idx_hi) as a bool array."""
+        lo_byte = idx_lo // 8
+        hi_byte = idx_hi // 8 + 1
+        window = np.unpackbits(self._packed[lo_byte:hi_byte], bitorder="little").view(bool)
+        return window[idx_lo - 8 * lo_byte : idx_lo - 8 * lo_byte + (idx_hi - idx_lo + 1)]
+
     def _odd_values_between(self, idx_lo: int, idx_hi: int) -> np.ndarray:
         """Values 2i+1 of set bits with idx_lo <= i <= idx_hi."""
         if idx_hi < idx_lo:
             return np.empty(0, dtype=np.int64)
-        lo_byte = idx_lo // 8
-        hi_byte = idx_hi // 8 + 1
-        window = np.unpackbits(self._packed[lo_byte:hi_byte], bitorder="little").view(bool)
-        window = window[idx_lo - 8 * lo_byte : idx_lo - 8 * lo_byte + (idx_hi - idx_lo + 1)]
-        values = np.flatnonzero(window).astype(np.int64, copy=False)
+        values = np.flatnonzero(self._bits(idx_lo, idx_hi)).astype(np.int64, copy=False)
         values += idx_lo  # in place: no temporaries the size of the output
         values *= 2
         values += 1
@@ -325,6 +337,32 @@ class PrimeCache:
         if head:
             return np.concatenate([np.array(head, dtype=np.int64), odds])
         return odds
+
+    def count_in_classes(self, lo: float, hi: float, k: int, classes) -> int:
+        """Number of primes p with lo <= p <= hi and ``classes[p % k]`` true.
+
+        ``classes`` is a bool array of length k.  Whether bit i (the odd
+        number 2i + 1) is in a class depends only on i mod k, so one k-long
+        pattern, tiled over each chunk of DEFAULT_SEGMENT_ODDS bits and
+        ANDed with them, counts the chunk.  No prime is formed.
+        """
+        lo = math.ceil(lo)
+        hi = math.floor(hi)
+        if hi < lo:
+            return 0
+        if lo < 0:
+            raise DomainError(f"range start must be >= 0, got {lo}")
+        self._check_budget(hi)
+        classes = np.asarray(classes, dtype=bool)
+        count = int(lo <= 2 <= hi and classes[2 % k])
+        idx_lo = max(lo, 3) // 2  # the first odd number >= max(lo, 3)
+        idx_hi = (hi - 1) // 2  # the last odd number <= hi
+        for i0 in range(idx_lo, idx_hi + 1, DEFAULT_SEGMENT_ODDS):
+            n = min(DEFAULT_SEGMENT_ODDS, idx_hi + 1 - i0)
+            pattern = classes[(2 * np.arange(i0, i0 + k) + 1) % k]
+            mask = np.tile(pattern, -(-n // k))[:n]
+            count += int(np.count_nonzero(self._bits(i0, i0 + n - 1) & mask))
+        return count
 
     def nth_prime(self, n: int) -> int:
         if n < 1:

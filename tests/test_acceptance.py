@@ -150,8 +150,15 @@ def test_criterion_08_pi_gap_bound(cache_main):
         x_hi = float(rng.uniform(x_lo, 1e7))
         gap = cache_main.pi(x_hi) - cache_main.pi(x_lo)
         margin = bounds.pi_gap_margin(x_lo, x_hi)
+
+        def extended():
+            lo, hi = np.longdouble(x_lo), np.longdouble(x_hi)
+            wide = bounds.pi_gap_margin(lo, hi, xp=np.longdouble)
+            return np.longdouble(gap), (hi / np.log(lo)) * (1 + wide)
+
         if not strictly_less(float(gap),
-                             (x_hi / math.log(x_lo)) * (1.0 + margin)):
+                             (x_hi / math.log(x_lo)) * (1.0 + margin),
+                             extended=extended):
             violations += 1
     report(8, violations == 0,
            f"pi gap bound on 200 seeded pairs in [149, 1e7], "

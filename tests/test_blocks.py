@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pstar import blocks
 from pstar.blocks import (
     block_counts,
     block_rows,
@@ -17,7 +18,7 @@ from pstar.blocks import (
     half_counts_formula,
 )
 from pstar.errors import DomainError
-from pstar.primes import build_cache
+from pstar.primes import PrimeCache, build_cache
 
 
 # -- case classification ---------------------------------------------------
@@ -256,3 +257,40 @@ def test_seeded_triples_against_oracle(cache_main):
             continue
         assert half_counts_formula(cache_main, d) == \
             half_counts_direct(cache_main, k, alpha, beta), (k, alpha, beta)
+
+
+@pytest.mark.parametrize("k", [blocks._BITMAP_MAX_K - 1, blocks._BITMAP_MAX_K])
+def test_formula_on_both_sides_of_the_bitmap_crossover(k, cache_main, monkeypatch):
+    # below the crossover the inner first halves come from the bitmap mask,
+    # from it on from pi at block edges; both must match the residue oracle
+    # and the pi totals of block_counts
+    masked = []
+    count = PrimeCache.count_in_classes
+    monkeypatch.setattr(PrimeCache, "count_in_classes",
+                        lambda self, *a: masked.append(a) or count(self, *a))
+    top = cache_main.limit
+    rng = np.random.default_rng(k)
+    triples = [(1, 2_000), (1, top), (top - 3 * k - 1, top), (top - 9, top),
+               (5, 2**22 + 7)]
+    triples += [(int(a), int(a) + int(w)) for a, w in
+                zip(rng.integers(1, top - 10**6, 6), rng.integers(0, 10**6, 6))]
+    for alpha, beta in triples:
+        d = classify_case(k, alpha, beta)
+        want = half_counts_direct(cache_main, k, alpha, beta)
+        assert half_counts_formula(cache_main, d) == want, (k, alpha, beta)
+        counts = block_counts(cache_main, d)
+        assert (counts.first_total, counts.second_total) == want, (k, alpha, beta)
+    assert bool(masked) == (k < blocks._BITMAP_MAX_K)
+
+
+def test_formula_counts_the_prime_2_as_an_inner_prime(cache_main):
+    # k = 2, lam = 0: block 1 is [2, 3], so 2 is the first inner prime and
+    # lies in a first half (residue 0)
+    for beta in (4, 5, 1_000, 2**21 + 1, cache_main.limit):
+        d = classify_case(2, 1, beta)
+        assert d.inner_blocks.start == 1
+        want = half_counts_direct(cache_main, 2, 1, beta)
+        assert half_counts_formula(cache_main, d) == want, beta
+        if beta < 2**22:  # block_counts keeps a dict entry per block
+            counts = block_counts(cache_main, d)
+            assert (counts.first_total, counts.second_total) == want, beta

@@ -236,6 +236,59 @@ def test_nth_prime_for_every_n_across_word_and_block_edges(cache_main):
     assert cache_main.pi(2**21) in range(155_500, 156_200)
 
 
+def _classes_oracle(cache, lo, hi, k, classes):
+    """count_in_classes by reducing the fetched primes mod k."""
+    return int(np.bincount(cache.primes_in(lo, hi) % k, minlength=k)[classes].sum())
+
+
+def test_count_in_classes_matches_residue_counts(cache_small, cache_main):
+    rng = np.random.default_rng(1313)
+    seg = 2 * primes_mod.DEFAULT_SEGMENT_ODDS  # integers per chunk of bits
+    for cache in (cache_small, cache_main):
+        limit = cache.limit
+        windows = [(0, 2), (2, 2), (0, 1), (1, 13), (3, 3), (4, 4), (7, 6),
+                   (0, limit), (limit - 77, limit), (limit, limit)]
+        # starts and ends on every bit of a byte (16 integers)
+        windows += [(lo, lo + w) for lo in range(21, 37) for w in (0, 5, 16, 130)]
+        if limit > 2 * seg:
+            # a window of exactly one chunk of bits, one bit more or less,
+            # and windows that cross the fixed segment edges
+            windows += [(3, 3 + seg + d) for d in (-3, -2, -1, 0, 1, 2)]
+            windows += [(s * seg - d, s * seg + e) for s in (1, 3) for d in (0, 1, 9)
+                        for e in (0, 1, 2 * seg + 1)]
+            windows += [(int(lo), int(lo) + 3 * seg + 7)
+                        for lo in rng.integers(0, limit - 3 * seg - 7, 3)]
+        for lo, hi in windows:
+            k = int(rng.integers(2, 201))
+            classes = rng.random(k) < 0.5
+            classes[2 % k] = True  # keep the prime 2 in play when the window holds it
+            assert cache.count_in_classes(lo, hi, k, classes) == \
+                _classes_oracle(cache, lo, hi, k, classes), (limit, lo, hi, k)
+
+
+def test_count_in_classes_over_every_modulus_to_200(cache_small):
+    rng = np.random.default_rng(7)
+    for k in range(2, 201):
+        classes = rng.random(k) < rng.random()
+        lo, hi = sorted(int(x) for x in rng.integers(0, cache_small.limit + 1, 2))
+        for a, b in ((lo, hi), (0, cache_small.limit)):
+            assert cache_small.count_in_classes(a, b, k, classes) == \
+                _classes_oracle(cache_small, a, b, k, classes), (a, b, k)
+        assert cache_small.count_in_classes(lo, lo - 1, k, classes) == 0
+        assert cache_small.count_in_classes(lo, hi, k, np.ones(k, bool)) == \
+            cache_small.pi(hi) - cache_small.pi(lo - 1)
+
+
+def test_count_in_classes_checks_its_range(cache_small):
+    classes = np.ones(10, dtype=bool)
+    with pytest.raises(SieveBudgetError):
+        cache_small.count_in_classes(1, cache_small.limit + 1, 10, classes)
+    with pytest.raises(SieveBudgetError):
+        cache_small.count_in_classes(cache_small.limit + 1, cache_small.limit + 9, 10, classes)
+    with pytest.raises(DomainError):
+        cache_small.count_in_classes(-1, 10, 10, classes)
+
+
 def test_rank_dtype_holds_every_count():
     # ranks count the odd numbers 3..limit: 2^32 - 1 of them at 2^33 - 1 and
     # at 2^33, where the rule moves to 64 bits while they still fit
